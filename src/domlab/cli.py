@@ -75,9 +75,6 @@ def _emit(args, text: str) -> None:
 
 def cmd_solve(args) -> int:
     g = _read_input(args)
-    if not is_connected(g):
-        print("error: solver requires a connected graph", file=sys.stderr)
-        return 2
     solver = {
         "connected": minimum_connected_dominating,
         "weakly-convex": minimum_wcon_dominating,

@@ -9,17 +9,18 @@ used to cross-validate the pruned route on small graphs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .errors import DisconnectedHost, EmptySet, TierExceeded
+from .errors import DisconnectedHost, EmptySet, ParameterOutOfRange, TierExceeded
 from .graph import (
     Graph,
     graph6_encode,
     iter_bits,
     mask_connected,
     raw_distance_matrix,
+    require_connected,
     set_to_list,
     vertex_roles,
 )
@@ -35,9 +36,13 @@ class Kind(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    use_forced_pruning: bool = True
+    """``node_budget`` caps the search-tree nodes of one solve (at least 1)."""
+
     node_budget: int = 50_000_000
-    deterministic: bool = True
+
+    def __post_init__(self):
+        if self.node_budget < 1:
+            raise ParameterOutOfRange(f"node budget must be at least 1, got {self.node_budget}")
 
 
 @dataclass
@@ -46,7 +51,6 @@ class DominationCertificate:
     kind: Kind
     value: int
     optimal: bool
-    graph_hash: str
     nodes_expanded: int = 0
 
     def to_json_dict(self, g: Graph) -> dict:
@@ -176,42 +180,88 @@ def _is_complete(g: Graph) -> bool:
     return g.m == g.n * (g.n - 1) // 2
 
 
+class _BudgetSpent(Exception):
+    """Unwinds the search once the node budget is used up."""
+
+
 def _solve_minimum(g: Graph, kind: Kind, cfg: SolverConfig) -> DominationCertificate:
+    """Size-layered search that only ever builds connected vertex sets.
+
+    Layer ``k`` enumerates each connected ``k``-set that holds every forced
+    vertex and no excluded one exactly once (ESU-style extension): a set
+    grows from its root by include/ban branching on its frontier
+    ``N(S) - S - banned``.  The root is the lowest forced vertex, or else
+    each vertex ``r`` in turn with every vertex below ``r`` banned.  The
+    closed neighbourhood ``N[S]`` is kept as the set grows, so a connected
+    set dominates exactly when it covers every vertex.  A layer is searched
+    in full, so the certificate is the smallest bit mask of all minimum sets.
+    """
+    require_connected(g)
     n = g.n
-    predicate = _KIND_PREDICATE[kind]
-    digest = graph_digest(g)
     if n == 1:
-        return DominationCertificate(1, kind, 1, True, digest)
+        return DominationCertificate(1, kind, 1, True)
     forced, excluded = 0, 0
-    if cfg.use_forced_pruning and n >= 3 and not _is_complete(g):
+    if n >= 3 and not _is_complete(g):
         forced, excluded = _forced_and_excluded(g)
-    free = [v for v in range(n) if not (forced >> v | excluded >> v) & 1]
+    adj = g.adj
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    full = g.full_mask
+    wcon = kind is Kind.WEAKLY_CONVEX
+    budget = cfg.node_budget
     nodes = 0
-    base = forced.bit_count()
-    for extra in range(0, len(free) + 1):
-        size = base + extra
-        if size == 0:
-            continue
-        hits = []
-        for combo in combinations(free, extra):
-            nodes += 1
-            if nodes > cfg.node_budget:
-                # fall back to the trivially feasible whole vertex set
-                best = min(hits) if hits else g.full_mask
-                return DominationCertificate(
-                    best, kind, best.bit_count(), False, digest, nodes
-                )
-            x = forced
-            for v in combo:
-                x |= 1 << v
-            if is_dominating(g, x) and predicate(g, x):
-                if not cfg.deterministic:
-                    return DominationCertificate(x, kind, size, True, digest, nodes)
-                hits.append(x)
-        if hits:
-            return DominationCertificate(min(hits), kind, size, True, digest, nodes)
-    # pruning can never make the problem infeasible (V itself qualifies),
-    # so reaching this point means forced/excluded were misapplied
+    no_hit = full + 1  # above every vertex set
+    best = no_hit
+    k = 0
+
+    def grow(s: int, cover: int, frontier: int, banned: int, size: int) -> None:
+        nonlocal nodes, best
+        nodes += 1
+        if nodes > budget:
+            raise _BudgetSpent
+        # every extension of s is a larger bit mask than s | forced
+        if s | forced >= best:
+            return
+        if size == k:
+            if cover == full and (not wcon or is_weakly_convex(g, s)):
+                best = s
+            return
+        if size + (forced & ~s).bit_count() > k:
+            return
+        # a forced vertex is never banned, so one on the frontier is the only branch
+        pending = frontier & forced
+        branches = pending & -pending or frontier
+        while branches:
+            b = branches & -branches
+            v = b.bit_length() - 1
+            branches ^= b
+            frontier ^= b
+            grow(s | b, cover | closed[v], (frontier | adj[v]) & ~(s | b | banned), banned, size + 1)
+            banned |= b
+            # an undominated vertex that has lost its last possible dominator
+            lost = closed[v] & ~cover
+            while lost:
+                u = lost & -lost
+                lost ^= u
+                if not closed[u.bit_length() - 1] & ~banned:
+                    return
+
+    roots = [forced & -forced] if forced else [1 << r for r in range(n) if not excluded >> r & 1]
+    diam = max(map(max, raw_distance_matrix(g)))
+    for k in range(max(1, forced.bit_count(), diam - 1), n + 1):
+        try:
+            for root in roots:
+                banned = excluded if forced else excluded | (root - 1)
+                if not all(c & ~banned for c in closed):
+                    break  # some vertex can no longer be dominated, nor for later roots
+                r = root.bit_length() - 1
+                grow(root, closed[r], adj[r] & ~banned, banned, 1)
+        except _BudgetSpent:
+            # fall back to the trivially feasible whole vertex set
+            hit = full if best == no_hit else best
+            return DominationCertificate(hit, kind, hit.bit_count(), False, nodes)
+        if best != no_hit:
+            return DominationCertificate(best, kind, k, True, nodes)
+    # V itself qualifies, so reaching this point means forced/excluded were misapplied
     raise AssertionError("exact search exhausted without a feasible set")
 
 

@@ -61,10 +61,6 @@ class TreeCountCapExceeded(DomlabError):
     pass
 
 
-class BudgetExceeded(DomlabError):
-    pass
-
-
 class UnknownTheoremId(DomlabError):
     pass
 

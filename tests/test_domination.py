@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from domlab.errors import EmptySet, TierExceeded
+from domlab.errors import Disconnected, EmptySet, ParameterOutOfRange, TierExceeded
 from domlab.domination import (
     Kind,
     SolverConfig,
@@ -28,6 +28,20 @@ from domlab.gadgets import (
     star,
 )
 from domlab.graph import bit, from_edge_list, mask_of
+from domlab.spanning import wcon_spectrum
+
+
+def hamiltonian_plus_chords(rng: random.Random, n: int, chords: int):
+    """A 2-connected graph: a shuffled Hamiltonian cycle plus random chords.
+
+    It has no cut vertex, so the solvers loop over every root."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    for _ in range(chords):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+    return from_edge_list(n, edges)
 
 
 def test_is_dominating():
@@ -136,6 +150,7 @@ def test_gamma_gap(cfg):
 
 def test_solver_agrees_with_oracle_random(cfg):
     rng = random.Random(71)
+    graphs = []
     for trial in range(60):
         n = rng.randint(2, 9)
         edges = [(rng.randrange(i), i) for i in range(1, n)]
@@ -143,7 +158,11 @@ def test_solver_agrees_with_oracle_random(cfg):
             u, v = rng.randrange(n), rng.randrange(n)
             if u != v:
                 edges.append((u, v))
-        g = from_edge_list(n, edges)
+        graphs.append(from_edge_list(n, edges))
+    for trial in range(30):
+        n = rng.randint(6, 11)
+        graphs.append(hamiltonian_plus_chords(rng, n, rng.randint(0, n)))
+    for g in graphs:
         for kind, solver in (
             (Kind.CONNECTED, minimum_connected_dominating),
             (Kind.WEAKLY_CONVEX, minimum_wcon_dominating),
@@ -177,6 +196,41 @@ def test_budget_exceeded_yields_flagged_upper_bound():
     assert not cert.optimal
     assert is_wcon_dominating(cycle(9), cert.set)
     assert cert.value >= 7
+    assert cert.nodes_expanded <= cfg.node_budget + 1
+    g = hamiltonian_plus_chords(random.Random(0), 14, 5)
+    for budget in (1, 10, 100):
+        cfg = SolverConfig(node_budget=budget)
+        for predicate, solver in (
+            (is_connected_dominating, minimum_connected_dominating),
+            (is_wcon_dominating, minimum_wcon_dominating),
+        ):
+            cert = solver(g, cfg)
+            assert not cert.optimal and predicate(g, cert.set)
+            assert cert.nodes_expanded <= budget + 1
+
+
+def test_node_budget_must_be_positive():
+    for budget in (0, -5):
+        with pytest.raises(ParameterOutOfRange):
+            SolverConfig(node_budget=budget)
+
+
+def test_solvers_reject_disconnected_graphs(cfg):
+    for g in (from_edge_list(2, []), from_edge_list(4, [(0, 1), (2, 3)])):
+        for solver in (minimum_connected_dominating, minimum_wcon_dominating):
+            with pytest.raises(Disconnected):
+                solver(g, cfg)
+
+
+def test_gamma_c_is_min_of_wcon_spectrum_past_oracle_tier(cfg):
+    # max-leaf identity: gamma_c = n - (maximum leaf count of a spanning tree),
+    # and a tree's gamma_wcon is n minus its leaf count
+    rng = random.Random(2019)
+    for n in (15, 16, 17, 18):
+        g = hamiltonian_plus_chords(rng, n, 3)
+        cert = minimum_connected_dominating(g, cfg)
+        assert cert.optimal
+        assert min(wcon_spectrum(g).values) == cert.value
 
 
 def test_pruning_disabled_on_complete_graphs(cfg):

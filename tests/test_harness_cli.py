@@ -263,3 +263,11 @@ def test_cli_disconnected_input(tmp_path, capsys):
     p.write_text(graph6_encode(from_edge_list(2, [])) + "\n")
     code, _, err = run_cli(capsys, "solve", "--input", str(p))
     assert code == 2 and "connected" in err
+
+
+def test_cli_rejects_nonpositive_budget(tmp_path, capsys):
+    p = tmp_path / "c5.g6"
+    p.write_text(graph6_encode(cycle(5)) + "\n")
+    for budget in ("0", "-3"):
+        code, _, err = run_cli(capsys, "--budget", budget, "solve", "--input", str(p))
+        assert code == 2 and "budget" in err

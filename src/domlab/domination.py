@@ -17,6 +17,7 @@ from .errors import DisconnectedHost, EmptySet, ParameterOutOfRange, TierExceede
 from .graph import (
     Graph,
     graph6_encode,
+    is_complete,
     iter_bits,
     mask_connected,
     raw_distance_matrix,
@@ -176,10 +177,6 @@ def _forced_and_excluded(g: Graph) -> tuple[int, int]:
     return roles.cut_vertices, roles.simplicial
 
 
-def _is_complete(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
-
-
 class _BudgetSpent(Exception):
     """Unwinds the search once the node budget is used up."""
 
@@ -201,7 +198,7 @@ def _solve_minimum(g: Graph, kind: Kind, cfg: SolverConfig) -> DominationCertifi
     if n == 1:
         return DominationCertificate(1, kind, 1, True)
     forced, excluded = 0, 0
-    if n >= 3 and not _is_complete(g):
+    if n >= 3 and not is_complete(g):
         forced, excluded = _forced_and_excluded(g)
     adj = g.adj
     closed = [a | 1 << v for v, a in enumerate(adj)]

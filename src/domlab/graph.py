@@ -317,6 +317,10 @@ def is_connected(g: Graph) -> bool:
     return raw_distance_matrix(g)[0].count(-1) == 0 if g.n else False
 
 
+def is_complete(g: Graph) -> bool:
+    return g.m == g.n * (g.n - 1) // 2
+
+
 def components(g: Graph) -> list[int]:
     """Connected components as vertex masks, lowest vertex first."""
     remaining = g.full_mask

@@ -20,6 +20,7 @@ from .graph import (
     bit,
     girth,
     induced_subgraph,
+    is_complete,
     is_connected,
     iter_bits,
     mask_connected,
@@ -83,10 +84,6 @@ def is_cycle_graph(g: Graph) -> bool:
         and g.m == g.n
         and all(g.degree(v) == 2 for v in range(g.n))
     )
-
-
-def is_complete(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
 
 
 def _edges_inside(g: Graph, mask: int) -> int:

@@ -1,7 +1,15 @@
+from pathlib import Path
+
 import pytest
 
 from domlab.domination import SolverConfig
 from domlab.graph import from_edge_list
+
+
+@pytest.fixture(scope="session")
+def data_dir():
+    """The seeded graph6 corpora, found from this file, not the working directory."""
+    return Path(__file__).resolve().parent.parent / "data"
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,13 @@
 """End-to-end acceptance suite.
 
 Each test covers one acceptance criterion, enforces its runtime budget, and
-prints a single pass/fail line (run pytest with -s to see them).
+prints a single pass/fail line (run pytest with -s to see them). Criteria
+about the paper's theorems run the harness registry, on its corpora or on
+seeded graph lists; the others check the oracle and the paper's figures.
 """
 
 import random
 import time
-
-import pytest
 
 from domlab.domination import (
     Kind,
@@ -19,9 +19,7 @@ from domlab.domination import (
 from domlab.gadgets import (
     corona_k1,
     cycle,
-    edge_gap_gadget,
     fig_example_not_perfect,
-    gap_gadget,
     h_prime_a,
     h_star,
     random_cactus,
@@ -29,30 +27,12 @@ from domlab.gadgets import (
     random_long_cycle_tree,
     random_unicyclic,
 )
-from domlab.graph import (
-    is_connected,
-    mask_of,
-    remove_edge,
-    vertex_roles,
-)
-from domlab.harness import exhaustive_connected, gamma_pair, read_graph6_file
+from domlab.graph import mask_of
+from domlab.harness import THEOREMS, CorpusSpec, exhaustive_connected, run_verification
 from domlab.recognizers import (
-    cactus_equality_characterization,
     contains_induced,
-    is_cactus,
-    is_chordal,
-    is_complete,
-    is_cycle_graph,
-    is_distance_hereditary,
     is_gc_gwcon_perfect,
-    is_h_star_free,
-    is_path,
     lemma_perfect_conditions,
-)
-from domlab.spanning import (
-    edge_removal_sweep,
-    unicyclic_cycle_edge_analysis,
-    wcon_spectrum,
 )
 
 CFG = SolverConfig()
@@ -68,97 +48,69 @@ def report(num: int, label: str, ok: bool, elapsed: float, budget: float):
     assert elapsed < budget, f"criterion {num} exceeded {budget}s ({elapsed:.2f}s)"
 
 
+def verified(ids, spec: str, checked=None) -> bool:
+    """Every named registry check PASSes on the corpus, so each saw a graph;
+    with ``checked``, each saw exactly that many."""
+    checks = run_verification(ids, CorpusSpec.parse(spec), CFG).checks
+    return all(
+        c.status == "PASS" and (checked is None or c.stats["checked"] == checked)
+        for c in checks
+    )
+
+
+def scanned(tid: str, graphs: list) -> bool:
+    """The registry entry applies to every graph and finds no counterexample."""
+    ces, stats = THEOREMS[tid].scan(graphs, CFG)
+    return not ces and stats["checked"] == len(graphs)
+
+
 def test_criterion_01_wide_gap_gadgets():
     t0 = time.perf_counter()
     ok = True
     for k in (6, 7):
         tk = time.perf_counter()
-        desc = gap_gadget(k)
-        gc = minimum_connected_dominating(desc.graph, CFG).value
-        gw = minimum_wcon_dominating(desc.graph, CFG).value
-        ok &= gc == k + 4 and gw == 2 * k + 4
+        ok &= verified(["S2.gap"], f"gadget:gap:{k}", checked=1)
         ok &= time.perf_counter() - tk < 10
     report(1, "wide-gap gadgets k=6,7 exact values", ok, time.perf_counter() - t0, 25)
 
 
 def test_criterion_02_edge_gadgets():
     t0 = time.perf_counter()
-    ok = True
-    for k in range(-3, 4):
-        desc = edge_gap_gadget(k)
-        before = minimum_wcon_dominating(desc.graph, CFG).value
-        after = minimum_wcon_dominating(
-            remove_edge(desc.graph, *desc.special_edge), CFG
-        ).value
-        ok &= after - before == k
-        ok &= before == desc.predictions["gamma_wcon"]
+    ok = verified(["S4.edge-gadget"], "gadget:edge:-3,-2,-1,0,1,2,3", checked=7)
     report(2, "edge-removal gadgets shift by k for |k|<=3", ok, time.perf_counter() - t0, 30)
 
 
 def test_criterion_03_bounds_suite():
     t0 = time.perf_counter()
-    violations = 0
-    for g in exhaustive_connected(6):
-        if g.n < 3:
-            continue
-        gc, gw = gamma_pair(g, CFG)
-        pathlike = is_path(g)
-        if gc > gw:
-            violations += 1
-        if gc > g.n - 2 or (gc == g.n - 2) != (pathlike or is_cycle_graph(g)):
-            violations += 1
-        bound = 2 * g.m - g.n
-        if gw > bound or (gw == bound) != pathlike:
-            violations += 1
-    report(3, "bound suite on exhaustive n<=6", violations == 0, time.perf_counter() - t0, 300)
+    # 27,474 labeled connected graphs with 3 <= n <= 6
+    ok = verified(["S2.bounds-2m-n", "S2.n-2"], "exhaustive:6", checked=27_474)
+    report(3, "bound suite on exhaustive n<=6", ok, time.perf_counter() - t0, 300)
 
 
 def test_criterion_04_forced_vertices_observation():
     t0 = time.perf_counter()
-    violations = 0
-    for g in exhaustive_connected(6):
-        if g.n < 3 or is_complete(g):
-            continue
-        roles = vertex_roles(g)
-        for kind in (Kind.CONNECTED, Kind.WEAKLY_CONVEX):
-            for d in all_minimum_sets_oracle(g, kind):
-                if roles.cut_vertices & ~d or roles.simplicial & d:
-                    violations += 1
+    # the same graphs without K_3..K_6
+    ok = verified(["S2.observation"], "exhaustive:6", checked=27_470)
     report(
         4,
         "cut vertices forced / simplicial excluded in all minimum sets",
-        violations == 0,
+        ok,
         time.perf_counter() - t0,
         300,
     )
 
 
-def test_criterion_05_class_equality_suites():
+def test_criterion_05_class_equality_suites(data_dir):
     t0 = time.perf_counter()
-    violations = 0
-    corpora = [list(exhaustive_connected(6))]
-    corpora.append(list(read_graph6_file("data/connected_n7.g6")))
-    corpora.append(list(read_graph6_file("data/connected_n8.g6")))
-    for corpus in corpora:
-        for g in corpus:
-            gc, gw = gamma_pair(g, CFG)
-            if is_distance_hereditary(g) and gc != gw:
-                violations += 1
-            if is_chordal(g) and is_h_star_free(g) and gc != gw:
-                violations += 1
-            if is_cactus(g):
-                predicted, _ = cactus_equality_characterization(g)
-                if predicted and gc != gw:
-                    violations += 1
-    # cactus predicate is a biconditional on 300 seeded random cacti
+    ok = True
+    for spec in ("exhaustive:6", f"file:{data_dir / 'connected_n7.g6'}",
+                 f"file:{data_dir / 'connected_n8.g6'}"):
+        ok &= verified(["S3.dh", "S3.chordal-Hstar", "S3.cactus"], spec)
+    # the cactus predicate is a biconditional on 300 seeded random cacti
     rng = random.Random(20240518)
-    for i in range(300):
-        g = random_cactus(rng.randint(1, 16), rng.random(), 9_000_000 + i)
-        predicted, _ = cactus_equality_characterization(g)
-        gc, gw = gamma_pair(g, CFG)
-        if predicted != (gc == gw):
-            violations += 1
-    report(5, "class equality suites (DH / chordal / cactus)", violations == 0, time.perf_counter() - t0, 600)
+    cacti = [random_cactus(rng.randint(1, 16), rng.random(), 9_000_000 + i) for i in range(300)]
+    ok &= scanned("S3.cactus", cacti)
+    report(5, "class equality suites (DH / chordal / cactus)", ok, time.perf_counter() - t0, 600)
 
 
 def test_criterion_06_chordal_obstruction():
@@ -192,42 +144,23 @@ def test_criterion_07_not_perfect_figure():
 
 def test_criterion_08_girth_seven_formula():
     t0 = time.perf_counter()
-    ok = True
     graphs = [cycle(7), cycle(8), corona_k1(cycle(7))]
     rng = random.Random(7777)
     graphs += [
         random_long_cycle_tree(rng.randint(8, 16), 7_000_000 + i) for i in range(100)
     ]
-    for g in graphs:
-        roles = vertex_roles(g)
-        gc, gw = gamma_pair(g, CFG)
-        ok &= gw == g.n - roles.leaves.bit_count()
-        every = (roles.leaves | roles.cut_vertices) == g.full_mask
-        ok &= (gc == gw) == every
+    ok = scanned("S2.girth7", graphs)
     report(8, "girth>=7 leaf formula and equality biconditional", ok, time.perf_counter() - t0, 300)
 
 
 def test_criterion_09_interpolation_and_deltas():
     t0 = time.perf_counter()
-    violations = 0
-    for g in exhaustive_connected(6):
-        if not wcon_spectrum(g).is_interval:
-            violations += 1
-        for rec in edge_removal_sweep(g, CFG):
-            if not rec.is_bridge and rec.delta_c not in (0, 1, 2):
-                violations += 1
+    ok = verified(["S4.interpolation", "S4.edge-bound"], "exhaustive:6")
     rng = random.Random(4242)
-    for i in range(200):
-        g = random_unicyclic(rng.randint(3, 18), 4_000_000 + i)
-        if not wcon_spectrum(g).is_interval:
-            violations += 1
-        for rec in unicyclic_cycle_edge_analysis(g, CFG):
-            if abs(rec.delta_wcon) > 2:
-                violations += 1
-        for rec in edge_removal_sweep(g, CFG):
-            if not rec.is_bridge and rec.delta_c not in (0, 1, 2):
-                violations += 1
-    report(9, "interpolation intervals and edge-removal deltas", violations == 0, time.perf_counter() - t0, 600)
+    graphs = [random_unicyclic(rng.randint(3, 18), 4_000_000 + i) for i in range(200)]
+    for tid in ("S4.interpolation", "S4.unicyclic", "S4.edge-bound"):
+        ok &= scanned(tid, graphs)
+    report(9, "interpolation intervals and edge-removal deltas", ok, time.perf_counter() - t0, 600)
 
 
 def test_criterion_10_solver_matches_oracle():

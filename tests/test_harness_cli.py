@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from domlab.harness import (
     read_graph6_file,
     run_verification,
 )
+from domlab.recognizers import is_distance_hereditary
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +45,8 @@ def test_corpus_spec_parse_roundtrip():
 
 
 def test_corpus_spec_parse_errors():
-    for bad in ("exhaustive", "random:tree:10", "gadget:gap", "nope:1"):
+    for bad in ("exhaustive", "random:tree:10", "gadget:gap", "nope:1",
+                "exhaustive:x", "random:tree:x:1", "gadget:gap:a", "gadget:foo:1"):
         with pytest.raises(CorpusReadError):
             CorpusSpec.parse(bad)
     with pytest.raises(CorpusReadError):
@@ -72,9 +75,9 @@ def test_read_graph6_file_reports_line_numbers(tmp_path):
         list(read_graph6_file(str(tmp_path / "missing.g6")))
 
 
-def test_file_corpora_present():
-    for name, expected in (("data/connected_n7.g6", 7), ("data/connected_n8.g6", 8)):
-        graphs = list(read_graph6_file(name))
+def test_file_corpora_present(data_dir):
+    for name, expected in (("connected_n7.g6", 7), ("connected_n8.g6", 8)):
+        graphs = list(read_graph6_file(data_dir / name))
         assert len(graphs) == 150
         assert all(g.n == expected for g in graphs)
 
@@ -131,6 +134,27 @@ def test_all_theorem_ids_runnable(cfg):
     report = run_verification(sorted(THEOREMS), CorpusSpec.parse("exhaustive:4"), cfg)
     assert report.ok
     assert len(report.checks) == len(THEOREMS)
+
+
+def test_theorem_runner_reports_injected_failures(cfg, monkeypatch):
+    import domlab.harness as harness
+
+    spec = CorpusSpec.parse("exhaustive:5")
+    scoped = [g for g in spec.graphs() if is_distance_hereditary(g)]
+    odd = [graph6_encode(g) for g in scoped if g.m % 2]
+
+    def check(g, cfg, stats):
+        stats["odd"] += g.m % 2
+        return [{"graph6": graph6_encode(g)}] if g.m % 2 else []
+
+    injected = dataclasses.replace(harness.THEOREMS["S3.dh"], check=check, counters=("odd", "never"))
+    monkeypatch.setitem(harness.THEOREMS, "S3.dh", injected)
+    report = run_verification(["S3.dh"], spec, cfg)
+    (check_result,) = report.checks
+    assert not report.ok and check_result.status == "FAIL"
+    assert [ce["graph6"] for ce in check_result.counterexamples] == odd
+    assert check_result.stats == {"checked": len(scoped), "odd": len(odd), "never": 0}
+    assert 0 < len(odd) < len(scoped) < sum(1 for _ in spec.graphs())
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +259,9 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_cli_verify_bad_corpus(capsys):
-    code, _, err = run_cli(capsys, "verify", "--corpus", "bogus:1")
-    assert code == 2 and "error" in err
+    for corpus in ("bogus:1", "exhaustive:x", "gadget:foo:1"):
+        code, _, err = run_cli(capsys, "verify", "--corpus", corpus)
+        assert code == 2 and "error" in err, corpus
 
 
 def test_cli_sweep_and_interpolate(tmp_path, capsys):
@@ -261,8 +286,9 @@ def test_cli_disconnected_input(tmp_path, capsys):
     from domlab.graph import from_edge_list
 
     p.write_text(graph6_encode(from_edge_list(2, [])) + "\n")
-    code, _, err = run_cli(capsys, "solve", "--input", str(p))
-    assert code == 2 and "connected" in err
+    for command in ("solve", "classify", "sweep-edges", "interpolate"):
+        code, _, err = run_cli(capsys, command, "--input", str(p))
+        assert code == 2 and "connected" in err, command
 
 
 def test_cli_rejects_nonpositive_budget(tmp_path, capsys):

@@ -69,8 +69,8 @@ def test_dh_elimination_matches_definitional_oracle_exhaustive():
         assert is_distance_hereditary(g) == distance_hereditary_oracle(g)
 
 
-def test_dh_elimination_matches_oracle_on_corpus_files():
-    for g in read_graph6_file("data/connected_n8.g6"):
+def test_dh_elimination_matches_oracle_on_corpus_files(data_dir):
+    for g in read_graph6_file(data_dir / "connected_n8.g6"):
         assert is_distance_hereditary(g) == distance_hereditary_oracle(g)
 
 

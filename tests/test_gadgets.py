@@ -17,7 +17,7 @@ from domlab.gadgets import (
     random_unicyclic,
     star,
 )
-from domlab.graph import blocks_and_bridges, girth, is_connected
+from domlab.graph import blocks_and_bridges, girth, graph6_encode, is_connected
 from domlab.recognizers import is_cactus
 
 
@@ -127,6 +127,62 @@ def test_random_cactus_degenerates():
     assert random_cactus(1, 0.5, 0).n == 1
     t = random_cactus(12, 0.0, 3)
     assert t.m == t.n - 1  # no cycles attached
+
+
+# (graph6, label names in vertex order, special edge) as first published;
+# every refactor of the constructions must reproduce them exactly
+PINNED_GADGETS = {
+    (gap_gadget, 6): (
+        "[hCGGC@?G@_H?`@?`?I_@G?F??K??A???_??C???O???_???_???O???C????_??",
+        "x1 v1 v2 v3 v4 v5 v6 v7 v8 x2 u8 u7 u6 u5 u4 u3 u2 u1"
+        " x1' v1' v2' v3' v4' v5' v6' v7' v8' x2'",
+        None,
+    ),
+    (gap_gadget, 7): (
+        "^hCGGC@?G?_B?H?O_OGG@A?DO?H??M??E???O??@???A???A???@????O???A????G????O????O???",
+        "x1 v1 v2 v3 v4 v5 v6 v7 v8 v9 x2 u9 u8 u7 u6 u5 u4 u3 u2 u1"
+        " x1' v1' v2' v3' v4' v5' v6' v7' v8' v9' x2'",
+        None,
+    ),
+    (gap_gadget, 8): (
+        "ahCGGC@?G?_@?B?C_CGA@?_CC?GO?I_?C_?@o??K???G???G???C???@????G????_???@????@?????_????G????@????",
+        "x1 v1 v2 v3 v4 v5 v6 v7 v8 v9 v10 x2 u10 u9 u8 u7 u6 u5 u4 u3 u2 u1"
+        " x1' v1' v2' v3' v4' v5' v6' v7' v8' v9' v10' x2'",
+        None,
+    ),
+    (edge_gap_gadget, -3): (
+        "RhCGGKHSH?w@_?O?C??_?A??C??C??",
+        "x1 v1 v2 v3 v4 v5 x2 u5 u4 u3 u2 u1 x1' v1' v2' v3' v4' v5' x2'",
+        (7, 6),
+    ),
+    (edge_gap_gadget, -2): (
+        "OhCGYc`oK?G?G?C?@??G?",
+        "x1 v1 v2 v3 v4 x2 u4 u3 u2 u1 x1' v1' v2' v3' v4' x2'",
+        (6, 5),
+    ),
+    (edge_gap_gadget, -1): (
+        "LhDXME?O@?A?A?",
+        "x1 v1 v2 v3 x2 u3 u2 u1 x1' v1' v2' v3' x2'",
+        (5, 4),
+    ),
+    (edge_gap_gadget, 0): ("Bw", "x1 x2", (0, 1)),
+    (edge_gap_gadget, 1): ("Fn`@?", "x1 v1 x2 u1 x1' v1' x2'", (0, 1)),
+    (edge_gap_gadget, 2): ("IhNKA?_C?", "x1 v1 v2 x2 u2 u1 x1' v1' v2' x2'", (0, 1)),
+    (edge_gap_gadget, 3): (
+        "LhCXME?O@?A?A?",
+        "x1 v1 v2 v3 x2 u3 u2 u1 x1' v1' v2' v3' x2'",
+        (0, 1),
+    ),
+}
+
+
+@pytest.mark.parametrize("builder,k", list(PINNED_GADGETS), ids=lambda x: getattr(x, "__name__", x))
+def test_gadgets_match_pinned_graph6_and_labels(builder, k):
+    code, names, special = PINNED_GADGETS[builder, k]
+    desc = builder(k)
+    assert graph6_encode(desc.graph) == code
+    assert list(desc.labels.items()) == [(name, i) for i, name in enumerate(names.split())]
+    assert desc.special_edge == special
 
 
 def test_gadget_serialization():

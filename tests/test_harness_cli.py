@@ -6,7 +6,19 @@ import pytest
 from domlab.cli import main
 from domlab.domination import SolverConfig
 from domlab.errors import CorpusReadError, UnknownTheoremId
-from domlab.gadgets import cycle, path
+from domlab.gadgets import (
+    complete,
+    corona_k1,
+    cycle,
+    edge_gap_gadget,
+    fig_example_not_perfect,
+    gap_gadget,
+    h_prime_a,
+    h_star,
+    path,
+    random_cactus,
+    star,
+)
 from domlab.graph import format_edge_list, graph6_encode
 from domlab.harness import (
     CorpusSpec,
@@ -220,6 +232,25 @@ def test_cli_gadget_formats(capsys):
         capsys, "gadget", "cycle", "--k", "5", "--format", "edgelist"
     )
     assert code == 0 and out.splitlines()[0] == "5 5"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("gap", "--k", "7"), lambda: gap_gadget(7).graph),
+    (("edge-gap", "--k", "-2"), lambda: edge_gap_gadget(-2).graph),
+    (("edge-gap", "--k", "3"), lambda: edge_gap_gadget(3).graph),
+    (("h-star",), lambda: h_star().graph),
+    (("h-prime-a",), lambda: h_prime_a().graph),
+    (("not-perfect",), lambda: fig_example_not_perfect().graph),
+    (("path", "--k", "4"), lambda: path(4)),
+    (("cycle", "--k", "8"), lambda: cycle(8)),
+    (("complete", "--k", "5"), lambda: complete(5)),
+    (("star", "--k", "6"), lambda: star(6)),
+    (("corona-c7",), lambda: corona_k1(cycle(7))),
+    (("random-cactus", "--k", "12", "--seed", "3"), lambda: random_cactus(12, 0.5, 3)),
+], ids=lambda x: "-".join(x) if isinstance(x, tuple) else None)
+def test_cli_gadget_matches_library(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, "gadget", *argv)
+    assert code == 0 and out == graph6_encode(expected()) + "\n"
 
 
 def test_cli_gadget_bad_parameter(capsys):

@@ -15,6 +15,7 @@ from .domination import (
     minimum_wcon_dominating,
 )
 from .gadgets import (
+    GadgetDescriptor,
     corona_k1,
     cycle,
     complete,
@@ -90,48 +91,40 @@ def cmd_classify(args) -> int:
     return 0
 
 
-GADGETS = ("gap", "edge-gap", "h-star", "h-prime-a", "not-perfect",
-           "path", "cycle", "complete", "star", "corona-c7", "random-cactus")
+# name -> builder(k, seed), returning a descriptor or a bare graph; the
+# lambdas look the builders up when called, so a wrapper put on this module
+# (a profiler's, a test's monkeypatch) sees every call
+GADGETS = {
+    "gap": lambda k, seed: gap_gadget(k),
+    "edge-gap": lambda k, seed: edge_gap_gadget(k),
+    "h-star": lambda k, seed: h_star(),
+    "h-prime-a": lambda k, seed: h_prime_a(),
+    "not-perfect": lambda k, seed: fig_example_not_perfect(),
+    "path": lambda k, seed: path(k),
+    "cycle": lambda k, seed: cycle(k),
+    "complete": lambda k, seed: complete(k),
+    "star": lambda k, seed: star(k),
+    "corona-c7": lambda k, seed: corona_k1(cycle(7)),
+    "random-cactus": lambda k, seed: random_cactus(k, 0.5, seed),
+}
+GRAPH_FORMATS = {
+    "graph6": lambda g: graph6_encode(g) + "\n",
+    "edgelist": format_edge_list,
+    "dot": to_dot,
+}
 
 
 def cmd_gadget(args) -> int:
-    name = args.name
-    if name == "gap":
-        desc = gap_gadget(args.k)
-    elif name == "edge-gap":
-        desc = edge_gap_gadget(args.k)
-    elif name == "h-star":
-        desc = h_star()
-    elif name == "h-prime-a":
-        desc = h_prime_a()
-    elif name == "not-perfect":
-        desc = fig_example_not_perfect()
-    elif name in ("path", "cycle", "complete", "star"):
-        builder = {"path": path, "cycle": cycle, "complete": complete, "star": star}[name]
-        g = builder(args.k)
-        desc = None
-    elif name == "corona-c7":
-        g = corona_k1(cycle(7))
-        desc = None
-    elif name == "random-cactus":
-        g = random_cactus(args.k, 0.5, args.seed)
-        desc = None
-    else:
-        print(f"error: unknown gadget {name!r}", file=sys.stderr)
-        return 2
-    g = desc.graph if desc is not None else g
+    built = GADGETS[args.name](args.k, args.seed)
+    desc = built if isinstance(built, GadgetDescriptor) else None
+    g = desc.graph if desc else built
     if args.meta:
-        meta = desc.to_json_dict() if desc is not None else {
-            "name": name, "graph6": graph6_encode(g), "n": g.n, "m": g.m,
+        meta = desc.to_json_dict() if desc else {
+            "name": args.name, "graph6": graph6_encode(g), "n": g.n, "m": g.m,
         }
         _emit(args, json.dumps(meta, sort_keys=True) + "\n")
-        return 0
-    if args.out_format == "graph6":
-        _emit(args, graph6_encode(g) + "\n")
-    elif args.out_format == "edgelist":
-        _emit(args, format_edge_list(g))
     else:
-        _emit(args, to_dot(g))
+        _emit(args, GRAPH_FORMATS[args.out_format](g))
     return 0
 
 
@@ -162,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="domlab",
         description="Exact connected / weakly convex domination laboratory",
     )
-    parser.add_argument("--budget", type=int, default=50_000_000,
+    parser.add_argument("--budget", type=int, default=SolverConfig.node_budget,
                         help="solver node budget")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -183,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", dest="out_format",
-                   choices=("graph6", "edgelist", "dot"), default="graph6")
+                   choices=GRAPH_FORMATS, default="graph6")
     p.add_argument("--meta", action="store_true", help="print descriptor JSON")
     p.add_argument("--json-out")
     p.set_defaults(func=cmd_gadget)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .errors import DisconnectedHost, EmptySet, ParameterOutOfRange, TierExceeded
+from .errors import Disconnected, EmptySet, ParameterOutOfRange, TierExceeded
 from .graph import (
     Graph,
     graph6_encode,
@@ -30,7 +30,6 @@ ORACLE_TIER = 14
 
 
 class Kind(Enum):
-    DOMINATING = "dominating"
     CONNECTED = "connected"
     WEAKLY_CONVEX = "weakly-convex"
 
@@ -100,7 +99,7 @@ def is_weakly_convex(g: Graph, x: int) -> bool:
         raise EmptySet("weak-convexity predicate on the empty set")
     dist = raw_distance_matrix(g)
     if any(d < 0 for d in dist[0]):
-        raise DisconnectedHost("weak convexity requires a connected host graph")
+        raise Disconnected("weak convexity requires a connected host graph")
     members = set_to_list(x)
     if len(members) <= 1:
         return True
@@ -154,7 +153,6 @@ def is_perfect_connected_dominating(g: Graph, d: int, outside_only: bool = True)
 
 
 _KIND_PREDICATE = {
-    Kind.DOMINATING: is_dominating,
     Kind.CONNECTED: is_connected_dominating,
     Kind.WEAKLY_CONVEX: is_wcon_dominating,
 }
@@ -166,15 +164,6 @@ def kind_predicate(kind: Kind):
 
 # ---------------------------------------------------------------------------
 # pruned exact solver
-
-
-def _forced_and_excluded(g: Graph) -> tuple[int, int]:
-    """Cut vertices are forced into, simplicial vertices out of, any minimum set.
-
-    Valid for connected G != K_n with n >= 3.
-    """
-    roles = vertex_roles(g)
-    return roles.cut_vertices, roles.simplicial
 
 
 class _BudgetSpent(Exception):
@@ -199,7 +188,10 @@ def _solve_minimum(g: Graph, kind: Kind, cfg: SolverConfig) -> DominationCertifi
         return DominationCertificate(1, kind, 1, True)
     forced, excluded = 0, 0
     if n >= 3 and not is_complete(g):
-        forced, excluded = _forced_and_excluded(g)
+        # cut vertices are forced into, simplicial vertices out of, any
+        # minimum set; valid for connected G != K_n with n >= 3
+        roles = vertex_roles(g)
+        forced, excluded = roles.cut_vertices, roles.simplicial
     adj = g.adj
     closed = [a | 1 << v for v, a in enumerate(adj)]
     full = g.full_mask
@@ -285,10 +277,10 @@ def gamma_gap(g: Graph, cfg: SolverConfig = SolverConfig()):
 # pruning-free oracle
 
 
-def all_minimum_sets_oracle(g: Graph, kind: Kind, tier: int = ORACLE_TIER) -> list[int]:
+def all_minimum_sets_oracle(g: Graph, kind: Kind) -> list[int]:
     """All minimum sets of ``kind`` by plain cardinality-layered enumeration."""
-    if g.n > tier:
-        raise TierExceeded(f"oracle tier is {tier}, graph has {g.n} vertices")
+    if g.n > ORACLE_TIER:
+        raise TierExceeded(f"oracle tier is {ORACLE_TIER}, graph has {g.n} vertices")
     predicate = _KIND_PREDICATE[kind]
     verts = range(g.n)
     for size in range(1, g.n + 1):

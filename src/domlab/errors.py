@@ -33,10 +33,6 @@ class Disconnected(DomlabError):
     pass
 
 
-class DisconnectedHost(Disconnected):
-    pass
-
-
 class NotACactus(DomlabError):
     pass
 

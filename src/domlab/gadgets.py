@@ -76,37 +76,21 @@ def corona_k1(g: Graph) -> Graph:
 # named constructions with predicted values
 
 
-def _wide_gap_graph(k: int) -> tuple[Graph, dict[str, int]]:
-    """Cycle of length 2k+6 with chords v_i u_i, the extra chord v_1 u_3,
-    and pendants on x1, x2 and every v_i.
+def _ladder(k: int, chord: bool) -> tuple[Graph, dict[str, int]]:
+    """Cycle x1, v1..vk, x2, uk..u1 with rungs v_i u_i, pendants on x1, x2
+    and every v_i, and, with ``chord``, the extra chord v1 u3.
 
-    Cycle order: x1, v1..v_{k+2}, x2, u_{k+2}..u_1.  Primes follow:
-    x1', v1'..v_{k+2}', x2'.
+    Vertices are numbered in cycle order, then the primes x1', v1'..vk', x2'.
     """
-    labels = {"x1": 0}
-    idx = 1
-    for i in range(1, k + 3):
-        labels[f"v{i}"] = idx
-        idx += 1
-    labels["x2"] = idx
-    idx += 1
-    for i in range(k + 2, 0, -1):
-        labels[f"u{i}"] = idx
-        idx += 1
-    cyc_len = idx  # 2k+6
-    labels["x1'"] = idx
-    idx += 1
-    for i in range(1, k + 3):
-        labels[f"v{i}'"] = idx
-        idx += 1
-    labels["x2'"] = idx
-    idx += 1
-    edges = [(j, (j + 1) % cyc_len) for j in range(cyc_len)]
-    edges += [(labels["x1"], labels["x1'"]), (labels["x2"], labels["x2'"])]
-    edges += [(labels[f"v{i}"], labels[f"v{i}'"]) for i in range(1, k + 3)]
-    edges += [(labels[f"v{i}"], labels[f"u{i}"]) for i in range(1, k + 3)]
-    edges.append((labels["v1"], labels["u3"]))
-    return from_edge_list(idx, edges), labels
+    vs = [f"v{i}" for i in range(1, k + 1)]
+    cyc = ["x1", *vs, "x2", *(f"u{i}" for i in range(k, 0, -1))]
+    labels = {name: i for i, name in enumerate(cyc + [f"{a}'" for a in ("x1", *vs, "x2")])}
+    edges = [(j, (j + 1) % len(cyc)) for j in range(len(cyc))]
+    edges += [(labels[a], labels[f"{a}'"]) for a in ("x1", "x2", *vs)]
+    edges += [(labels[f"v{i}"], labels[f"u{i}"]) for i in range(1, k + 1)]
+    if chord:
+        edges.append((labels["v1"], labels["u3"]))
+    return from_edge_list(len(labels), edges), labels
 
 
 def gap_gadget(k: int) -> GadgetDescriptor:
@@ -116,7 +100,7 @@ def gap_gadget(k: int) -> GadgetDescriptor:
     """
     if k < 6:
         raise ParameterOutOfRange("gap gadget defined for k >= 6")
-    g, labels = _wide_gap_graph(k)
+    g, labels = _ladder(k + 2, chord=True)
     assert g.n == 3 * k + 10 and g.m == 4 * k + 13
     return GadgetDescriptor(
         name=f"gap_gadget({k})",
@@ -130,55 +114,27 @@ def edge_gap_gadget(k: int) -> GadgetDescriptor:
     """Graph with a non-cut edge whose removal shifts the weakly convex
     number by exactly k (any integer)."""
     if k == 0:
-        g = cycle(3)
         return GadgetDescriptor(
             name="edge_gap_gadget(0)",
-            graph=g,
+            graph=cycle(3),
             labels={"x1": 0, "x2": 1},
             special_edge=(0, 1),
             predictions={"gamma_wcon": 1, "gamma_wcon_after_removal": 1},
         )
     if k > 0:
-        # cycle x1, v1..vk, x2, uk..u1 with pendants and chords v_i u_i
-        labels = {"x1": 0}
-        idx = 1
-        for i in range(1, k + 1):
-            labels[f"v{i}"] = idx
-            idx += 1
-        labels["x2"] = idx
-        idx += 1
-        for i in range(k, 0, -1):
-            labels[f"u{i}"] = idx
-            idx += 1
-        cyc_len = idx  # 2k+2
-        labels["x1'"] = idx
-        idx += 1
-        for i in range(1, k + 1):
-            labels[f"v{i}'"] = idx
-            idx += 1
-        labels["x2'"] = idx
-        idx += 1
-        edges = [(j, (j + 1) % cyc_len) for j in range(cyc_len)]
-        edges += [(labels["x1"], labels["x1'"]), (labels["x2"], labels["x2'"])]
-        edges += [(labels[f"v{i}"], labels[f"v{i}'"]) for i in range(1, k + 1)]
-        edges += [(labels[f"v{i}"], labels[f"u{i}"]) for i in range(1, k + 1)]
-        g = from_edge_list(idx, edges)
+        g, labels = _ladder(k, chord=False)
         assert g.n == 3 * k + 4
-        return GadgetDescriptor(
-            name=f"edge_gap_gadget({k})",
-            graph=g,
-            labels=labels,
-            special_edge=(labels["x1"], labels["v1"]),
-            predictions={"gamma_wcon": k + 2, "gamma_wcon_after_removal": 2 * k + 2},
-        )
-    kk = -k
-    g, labels = _wide_gap_graph(kk)
+        special, before, after = (labels["x1"], labels["v1"]), k + 2, 2 * k + 2
+    else:
+        kk = -k
+        g, labels = _ladder(kk + 2, chord=True)
+        special, before, after = (labels[f"u{kk + 2}"], labels["x2"]), 2 * kk + 4, kk + 4
     return GadgetDescriptor(
         name=f"edge_gap_gadget({k})",
         graph=g,
         labels=labels,
-        special_edge=(labels[f"u{kk + 2}"], labels["x2"]),
-        predictions={"gamma_wcon": 2 * kk + 4, "gamma_wcon_after_removal": kk + 4},
+        special_edge=special,
+        predictions={"gamma_wcon": before, "gamma_wcon_after_removal": after},
     )
 
 
@@ -297,14 +253,14 @@ def random_long_cycle_tree(n: int, seed: int) -> Graph:
     return from_edge_list(n, edges)
 
 
-def random_connected_graph(n: int, seed: int, extra_edge_rate: float = 0.6) -> Graph:
-    """Random spanning tree plus a seeded sprinkle of extra edges."""
+def random_connected_graph(n: int, seed: int) -> Graph:
+    """Random spanning tree plus a seeded sprinkle of up to 0.6 n extra edges."""
     if n < 1:
         raise ParameterOutOfRange("order must be >= 1")
     rng = random.Random(seed)
     edges = [(rng.randrange(i), i) for i in range(1, n)]
     present = set(map(frozenset, edges))
-    extras = int(rng.uniform(0, extra_edge_rate) * n)
+    extras = int(rng.uniform(0, 0.6) * n)
     for _ in range(extras):
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v and frozenset((u, v)) not in present:

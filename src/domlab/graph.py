@@ -8,7 +8,6 @@ as the distance matrix are memoized per graph.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -23,7 +22,7 @@ from .errors import (
     TierExceeded,
 )
 
-DEFAULT_TIER = 64
+VERTEX_TIER = 64  # the largest vertex count a graph may have
 
 GRAPH6_HEADER = ">>graph6<<"
 
@@ -49,11 +48,6 @@ UNREACHABLE = _Sentinel("UNREACHABLE")
 ACYCLIC = _Sentinel("ACYCLIC")
 
 VertexSet = int  # bit mask over vertex indices
-
-
-def vertex_tier() -> int:
-    """Maximum vertex count, overridable through ``DOMLAB_TIER``."""
-    return int(os.environ.get("DOMLAB_TIER", DEFAULT_TIER))
 
 
 def bit(v: int) -> int:
@@ -112,8 +106,8 @@ class Graph:
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph; duplicate edges collapse, self-loops are errors."""
-    if n < 1 or n > vertex_tier():
-        raise TierExceeded(f"vertex count {n} outside 1..{vertex_tier()}")
+    if n < 1 or n > VERTEX_TIER:
+        raise TierExceeded(f"vertex count {n} outside 1..{VERTEX_TIER}")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -172,8 +166,8 @@ def graph6_decode(text: str) -> Graph:
         body = data[1:]
     if n < 1:
         raise MalformedGraph6("graph6 order must be at least 1")
-    if n > vertex_tier():
-        raise TierExceeded(f"graph6 order {n} exceeds tier {vertex_tier()}")
+    if n > VERTEX_TIER:
+        raise TierExceeded(f"graph6 order {n} exceeds tier {VERTEX_TIER}")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise MalformedGraph6(
@@ -221,9 +215,9 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
+def to_dot(g: Graph) -> str:
     """Layout-free DOT export for figures."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     lines += [f"  {v};" for v in range(g.n)]
     lines += [f"  {u} -- {v};" for u, v in g.edges()]
     lines.append("}")

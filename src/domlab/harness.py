@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -61,7 +62,18 @@ from .spanning import (
 )
 
 ORACLE_SCOPE = 8  # oracle-backed checks skip larger graphs
+EXHAUSTIVE_MAX_N = 7  # n = 7 walks 2^21 edge masks, n = 8 would walk 2^28
 GADGET_FAMILIES = {"gap": gap_gadget, "edge": edge_gap_gadget}
+# family -> (rng, seed) -> graph; each entry draws from ``rng`` in a fixed
+# order, and calls its builder through the module, as ``THEOREMS`` does
+RANDOM_FAMILIES = {
+    "connected": lambda rng, seed: random_connected_graph(rng.randint(4, 14), seed),
+    "tree": lambda rng, seed: random_tree(rng.randint(3, 20), seed),
+    "unicyclic": lambda rng, seed: random_unicyclic(rng.randint(3, 18), seed),
+    "cactus": lambda rng, seed: random_cactus(rng.randint(1, 16), rng.random(), seed),
+    "girth7": lambda rng, seed: random_long_cycle_tree(rng.randint(7, 18), seed),
+    "graph6roundtrip": lambda rng, seed: random_connected_graph(rng.randint(1, 20), seed),
+}
 
 
 @dataclass
@@ -122,11 +134,11 @@ class CorpusSpec:
     def parse(text: str) -> "CorpusSpec":
         kind, *rest = text.split(":")
         try:
-            if kind == "exhaustive" and len(rest) == 1:
+            if kind == "exhaustive" and len(rest) == 1 and 1 <= int(rest[0]) <= EXHAUSTIVE_MAX_N:
                 return CorpusSpec("exhaustive", (int(rest[0]),))
             if kind == "file" and rest:
                 return CorpusSpec("file", (":".join(rest),))
-            if kind == "random" and len(rest) == 3:
+            if kind == "random" and len(rest) == 3 and rest[0] in RANDOM_FAMILIES and int(rest[1]) >= 1:
                 return CorpusSpec("random", (rest[0], int(rest[1]), int(rest[2])))
             if kind == "gadget" and len(rest) == 2 and rest[0] in GADGET_FAMILIES:
                 ks = tuple(int(x) for x in rest[1].split(","))
@@ -134,8 +146,9 @@ class CorpusSpec:
         except ValueError:
             pass
         raise CorpusReadError(
-            f"bad corpus spec {text!r} (want exhaustive:N, file:PATH,"
-            " random:family:count:seed or gadget:gap|edge:k1,k2,...)"
+            f"bad corpus spec {text!r} (want exhaustive:N with 1 <= N <= {EXHAUSTIVE_MAX_N},"
+            " file:PATH, random:FAMILY:COUNT:SEED with COUNT >= 1 and FAMILY one of"
+            f" {', '.join(RANDOM_FAMILIES)}, or gadget:gap|edge:k1,k2,...)"
         )
 
     def describe(self) -> str:
@@ -190,25 +203,9 @@ def read_graph6_file(path: str) -> Iterator[Graph]:
 
 def random_family(family: str, count: int, seed: int) -> Iterator[Graph]:
     """Seeded random corpora; sizes are fixed per family tier."""
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     for i in range(count):
-        sub = seed * 1_000_003 + i
-        if family == "connected":
-            yield random_connected_graph(rng.randint(4, 14), sub)
-        elif family == "tree":
-            yield random_tree(rng.randint(3, 20), sub)
-        elif family == "unicyclic":
-            yield random_unicyclic(rng.randint(3, 18), sub)
-        elif family == "cactus":
-            yield random_cactus(rng.randint(1, 16), rng.random(), sub)
-        elif family == "girth7":
-            yield random_long_cycle_tree(rng.randint(7, 18), sub)
-        elif family == "graph6roundtrip":
-            yield random_connected_graph(rng.randint(1, 20), sub)
-        else:
-            raise CorpusReadError(f"unknown random family {family!r}")
+        yield RANDOM_FAMILIES[family](rng, seed * 1_000_003 + i)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import Disconnected, GirthTooSmall, NotACactus, TierExceeded
+from .errors import GirthTooSmall, NotACactus, TierExceeded
 from .domination import SolverConfig, gamma_gap
 from .graph import (
     ACYCLIC,
@@ -26,11 +26,13 @@ from .graph import (
     mask_connected,
     mask_of,
     raw_distance_matrix,
+    require_connected,
     set_to_list,
     vertex_roles,
 )
 
 PERFECTNESS_TIER = 12
+DH_ORACLE_TIER = 9
 CYCLE_ENUM_CAP = 10**6
 
 
@@ -96,8 +98,7 @@ def _edges_inside(g: Graph, mask: int) -> int:
 
 def is_cactus(g: Graph) -> bool:
     """Every block is a single edge or an induced cycle."""
-    if not is_connected(g):
-        raise Disconnected("cactus recognition requires a connected graph")
+    require_connected(g)
     blocks, _, _ = blocks_and_bridges(g)
     for b in blocks:
         k = b.bit_count()
@@ -109,8 +110,7 @@ def is_cactus(g: Graph) -> bool:
 
 def is_block_graph(g: Graph) -> bool:
     """Every block induces a clique."""
-    if not is_connected(g):
-        raise Disconnected("block-graph recognition requires a connected graph")
+    require_connected(g)
     blocks, _, _ = blocks_and_bridges(g)
     return all(_edges_inside(g, b) == b.bit_count() * (b.bit_count() - 1) // 2 for b in blocks)
 
@@ -132,8 +132,7 @@ def is_distance_hereditary(g: Graph) -> bool:
     At every step the smallest-index false twin is tried first, then true
     twins, then pendants.
     """
-    if not is_connected(g):
-        raise Disconnected("distance-hereditary recognition requires connectivity")
+    require_connected(g)
     alive = g.full_mask
     adj = list(g.adj)
 
@@ -163,12 +162,11 @@ def is_distance_hereditary(g: Graph) -> bool:
     return True
 
 
-def distance_hereditary_oracle(g: Graph, tier: int = 9) -> bool:
+def distance_hereditary_oracle(g: Graph) -> bool:
     """Definitional check: every connected induced subgraph is isometric."""
-    if g.n > tier:
-        raise TierExceeded(f"definitional oracle tier is {tier}")
-    if not is_connected(g):
-        raise Disconnected("distance-hereditary oracle requires connectivity")
+    if g.n > DH_ORACLE_TIER:
+        raise TierExceeded(f"definitional oracle tier is {DH_ORACLE_TIER}")
+    require_connected(g)
     dist = raw_distance_matrix(g)
     for x in range(1, g.full_mask + 1):
         if x.bit_count() < 2 or not mask_connected(g.adj, x):
@@ -384,18 +382,16 @@ def girth7_analysis(g: Graph) -> dict:
     return {"gamma_wcon_formula": g.n - n_l, "equality_predicted": every}
 
 
-def lemma_perfect_conditions(g: Graph, strict_on_cycle: bool = True) -> tuple[bool, list]:
+def lemma_perfect_conditions(g: Graph) -> tuple[bool, list]:
     """Necessary conditions for two-number perfectness.
 
     No induced cycle longer than six, and every (not necessarily induced)
     5/6-cycle C, with H the subgraph induced by N[V(C)], satisfies one of:
     (1) two consecutive vertices of C are not cut vertices of H;
     (2) every cut vertex v of H on C has its C-neighbours adjacent or
-        sharing a common neighbour (on C when ``strict_on_cycle``) other
-        than v.
+        sharing a common neighbour on C other than v.
     """
-    if not is_connected(g):
-        raise Disconnected("perfectness conditions require a connected graph")
+    require_connected(g)
     violations = []
     long_cycle = has_induced_cycle_at_least(g, 7)
     if long_cycle is not None:
@@ -421,10 +417,7 @@ def lemma_perfect_conditions(g: Graph, strict_on_cycle: bool = True) -> tuple[bo
             a, b = cyc[i - 1], cyc[(i + 1) % p]
             if g.has_edge(a, b):
                 continue
-            common = g.adj[a] & g.adj[b] & ~bit(v)
-            if strict_on_cycle:
-                common &= mask_of(cyc)
-            if not common:
+            if not g.adj[a] & g.adj[b] & ~bit(v) & mask_of(cyc):
                 cond2 = False
                 break
         if not cond2:
@@ -433,25 +426,21 @@ def lemma_perfect_conditions(g: Graph, strict_on_cycle: bool = True) -> tuple[bo
 
 
 def is_gc_gwcon_perfect(
-    g: Graph,
-    cfg: SolverConfig = SolverConfig(),
-    tier: int = PERFECTNESS_TIER,
+    g: Graph, cfg: SolverConfig = SolverConfig()
 ) -> tuple[bool, Optional[int]]:
     """Whether every connected induced subgraph has equal domination numbers.
 
-    Chordal hosts shortcut to the obstruction-freeness test; otherwise all
-    connected induced subgraphs are solved exhaustively (memoized by mask).
+    Chordal hosts shortcut to the obstruction-freeness test, whose witness
+    is an induced copy of the obstruction; otherwise every connected
+    induced subgraph is solved, and the witness is the first unequal one.
     """
     if is_chordal(g):
-        if is_h_star_free(g):
-            return True, None
-        # locate a witness: any induced copy of the obstruction
         from .gadgets import h_star
 
         emb = contains_induced(g, h_star().graph)
-        return False, mask_of(emb.values())
-    if g.n > tier:
-        raise TierExceeded(f"perfectness tier is {tier} for non-chordal graphs")
+        return (True, None) if emb is None else (False, mask_of(emb.values()))
+    if g.n > PERFECTNESS_TIER:
+        raise TierExceeded(f"perfectness tier is {PERFECTNESS_TIER} for non-chordal graphs")
     for x in range(1, g.full_mask + 1):
         if not mask_connected(g.adj, x):
             continue
@@ -464,8 +453,7 @@ def is_gc_gwcon_perfect(
 
 def classify(g: Graph) -> ClassReport:
     """All class flags for a connected graph."""
-    if not is_connected(g):
-        raise Disconnected("classification requires a connected graph")
+    require_connected(g)
     return ClassReport(
         is_tree=is_tree(g),
         is_path=is_path(g),

@@ -6,12 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import (
-    Disconnected,
-    NotATree,
-    NotUnicyclic,
-    TreeCountCapExceeded,
-)
+from .errors import NotATree, NotUnicyclic, TreeCountCapExceeded
 from .domination import (
     DominationCertificate,
     SolverConfig,
@@ -19,7 +14,15 @@ from .domination import (
     minimum_connected_dominating,
     minimum_wcon_dominating,
 )
-from .graph import Graph, from_edge_list, is_connected, mask_connected, remove_edge
+from .graph import (
+    Graph,
+    blocks_and_bridges,
+    from_edge_list,
+    is_connected,
+    mask_connected,
+    remove_edge,
+    require_connected,
+)
 
 TREE_COUNT_CAP = 10**6
 
@@ -80,8 +83,7 @@ def spanning_trees(g: Graph, cap: int = TREE_COUNT_CAP) -> Iterator[Graph]:
     An edge is excluded only when the remaining graph stays connected
     (bridge forcing), so every leaf of the branching emits a tree.
     """
-    if not is_connected(g):
-        raise Disconnected("spanning trees require a connected graph")
+    require_connected(g)
     edges = g.edges()
     n = g.n
     emitted = 0
@@ -139,20 +141,12 @@ def tree_gamma_wcon(t: Graph) -> int:
     return t.n - leaves
 
 
-def wcon_spectrum(g: Graph, cap: int = TREE_COUNT_CAP) -> SpectrumReport:
+def wcon_spectrum(g: Graph) -> SpectrumReport:
     """Weakly convex numbers over all spanning trees, with interval test."""
-    values = sorted(tree_gamma_wcon(t) for t in spanning_trees(g, cap))
+    values = sorted(tree_gamma_wcon(t) for t in spanning_trees(g))
     support = sorted(set(values))
     is_interval = support == list(range(support[0], support[-1] + 1))
     return SpectrumReport(graph_digest(g), values, is_interval, len(values))
-
-
-def _non_bridge_edges(g: Graph) -> tuple[list[tuple[int, int]], set[frozenset]]:
-    from .graph import blocks_and_bridges
-
-    _, bridges, _ = blocks_and_bridges(g)
-    bridge_set = set(map(frozenset, bridges))
-    return g.edges(), bridge_set
 
 
 def unicyclic_cycle_edge_analysis(
@@ -163,9 +157,9 @@ def unicyclic_cycle_edge_analysis(
     if not (is_connected(g) and g.m == g.n):
         raise NotUnicyclic("analysis applies to connected unicyclic graphs")
     before = minimum_wcon_dominating(g, cfg).value
-    edges, bridge_set = _non_bridge_edges(g)
+    bridge_set = set(map(frozenset, blocks_and_bridges(g)[1]))
     records = []
-    for u, v in edges:
+    for u, v in g.edges():
         if frozenset((u, v)) in bridge_set:
             continue
         after = tree_gamma_wcon(remove_edge(g, u, v))
@@ -184,13 +178,12 @@ def edge_removal_sweep(
 
     Bridge edges are recorded with ``is_bridge`` and no after-values.
     """
-    if not is_connected(g):
-        raise Disconnected("edge sweep requires a connected graph")
+    require_connected(g)
     gc = minimum_connected_dominating(g, cfg).value
     gw = minimum_wcon_dominating(g, cfg).value
-    edges, bridge_set = _non_bridge_edges(g)
+    bridge_set = set(map(frozenset, blocks_and_bridges(g)[1]))
     records = []
-    for u, v in edges:
+    for u, v in g.edges():
         rec = EdgeRemovalRecord(
             (u, v),
             frozenset((u, v)) in bridge_set,

@@ -129,7 +129,7 @@ def test_random_cactus_degenerates():
     assert t.m == t.n - 1  # no cycles attached
 
 
-# (graph6, label names in vertex order, special edge) as first published;
+# (graph6, label names in vertex order, special edge) of each construction;
 # every refactor of the constructions must reproduce them exactly
 PINNED_GADGETS = {
     (gap_gadget, 6): (

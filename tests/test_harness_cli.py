@@ -58,11 +58,13 @@ def test_corpus_spec_parse_roundtrip():
 
 def test_corpus_spec_parse_errors():
     for bad in ("exhaustive", "random:tree:10", "gadget:gap", "nope:1",
-                "exhaustive:x", "random:tree:x:1", "gadget:gap:a", "gadget:foo:1"):
+                "exhaustive:x", "random:tree:x:1", "gadget:gap:a", "gadget:foo:1",
+                "random:nosuch:3:1", "random:nosuch:0:1", "random:tree:-5:1",
+                "random:tree:0:1", "exhaustive:0", "exhaustive:-1", "exhaustive:8"):
         with pytest.raises(CorpusReadError):
             CorpusSpec.parse(bad)
-    with pytest.raises(CorpusReadError):
-        list(CorpusSpec.parse("random:nosuch:3:1").graphs())
+    assert CorpusSpec.parse("exhaustive:7").params == (7,)
+    assert CorpusSpec.parse("random:tree:1:-4").params == ("tree", 1, -4)
 
 
 def test_read_graph6_file(tmp_path):
@@ -290,7 +292,8 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
 
 
 def test_cli_verify_bad_corpus(capsys):
-    for corpus in ("bogus:1", "exhaustive:x", "gadget:foo:1"):
+    for corpus in ("bogus:1", "exhaustive:x", "gadget:foo:1", "random:nosuch:0:1",
+                   "random:tree:-5:1", "exhaustive:0", "exhaustive:8"):
         code, _, err = run_cli(capsys, "verify", "--corpus", corpus)
         assert code == 2 and "error" in err, corpus
 

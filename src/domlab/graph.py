@@ -185,6 +185,14 @@ def graph6_decode(text: str) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def _int_pair(line: str, what: str) -> tuple[int, int]:
+    try:
+        u, v = map(int, line.split())
+    except ValueError:  # a non-integer token, or not exactly two
+        raise MalformedGraph6(f"bad {what} {line!r}: want two integers") from None
+    return u, v
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the ``n m`` header / ``u v`` lines format; '#' starts a comment."""
     lines = []
@@ -194,16 +202,8 @@ def parse_edge_list(text: str) -> Graph:
             lines.append(line)
     if not lines:
         raise MalformedGraph6("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MalformedGraph6(f"bad edge-list header {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
-    edges = []
-    for line in lines[1 : m + 1]:
-        parts = line.split()
-        if len(parts) != 2:
-            raise MalformedGraph6(f"bad edge line {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+    n, m = _int_pair(lines[0], "edge-list header")
+    edges = [_int_pair(line, "edge line") for line in lines[1 : m + 1]]
     if len(edges) != m:
         raise MalformedGraph6(f"expected {m} edges, found {len(edges)}")
     return from_edge_list(n, edges)

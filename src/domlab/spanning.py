@@ -17,7 +17,6 @@ from .domination import (
 from .graph import (
     Graph,
     blocks_and_bridges,
-    from_edge_list,
     is_connected,
     mask_connected,
     remove_edge,
@@ -77,75 +76,76 @@ class EdgeRemovalRecord:
         }
 
 
-def spanning_trees(g: Graph, cap: int = TREE_COUNT_CAP) -> Iterator[Graph]:
-    """Every spanning tree exactly once, by edge inclusion/exclusion.
-
-    An edge is excluded only when the remaining graph stays connected
-    (bridge forcing), so every leaf of the branching emits a tree.
-    """
+def _tree_masks(g: Graph, cap: int) -> Iterator[list[int]]:
+    """Adjacency masks of every spanning tree once, by edge inclusion and
+    exclusion with bridge forcing (Read & Tarjan, Networks 1975): an edge is
+    excluded only while the graph minus the excluded edges stays connected.
+    Both mask lists change in place, so a yielded list is valid until the next."""
     require_connected(g)
-    edges = g.edges()
-    n = g.n
+    edges = [(u, v, 1 << u, 1 << v) for u, v in g.edges()]
+    n, full = g.n, g.full_mask
+    host, tree = list(g.adj), [0] * n
+    root = list(range(n))  # union-find of the tree's components, undone on return
     emitted = 0
 
-    def still_connected(excluded: set[int]) -> bool:
-        adj = [0] * n
-        for i, (u, v) in enumerate(edges):
-            if i not in excluded:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        return mask_connected(tuple(adj), (1 << n) - 1)
+    def find(x: int) -> int:
+        while root[x] != x:
+            x = root[x]
+        return x
 
-    def rec(i: int, chosen: list[int], parent: list[int], excluded: set[int]):
+    def rec(i: int, size: int):
         nonlocal emitted
-        if len(chosen) == n - 1:
+        if size == n - 1:
             emitted += 1
             if emitted > cap:
                 raise TreeCountCapExceeded(f"more than {cap} spanning trees")
-            yield from_edge_list(n, [edges[j] for j in chosen])
+            if not mask_connected(tree, full):
+                raise NotATree("enumeration emitted a disconnected edge set")
+            yield tree
             return
-        if i == len(edges):
-            return
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        u, v = edges[i]
+        u, v, bu, bv = edges[i]
         ru, rv = find(u), find(v)
-        if ru != rv:
-            saved = list(parent)
-            parent[ru] = rv
-            yield from rec(i + 1, chosen + [i], parent, excluded)
-            parent[:] = saved
-            excluded.add(i)
-            if still_connected(excluded):
-                yield from rec(i + 1, chosen, parent, excluded)
-            excluded.discard(i)
-        else:
-            # chord: including it would close a cycle
-            yield from rec(i + 1, chosen, parent, excluded)
+        if ru == rv:  # chord: including it would close a cycle
+            yield from rec(i + 1, size)
+            return
+        root[ru] = rv
+        tree[u] ^= bv
+        tree[v] ^= bu
+        yield from rec(i + 1, size + 1)
+        tree[u] ^= bv
+        tree[v] ^= bu
+        root[ru] = ru
+        host[u] ^= bv
+        host[v] ^= bu
+        if mask_connected(host, full):
+            yield from rec(i + 1, size)
+        host[u] ^= bv
+        host[v] ^= bu
 
-    yield from rec(0, [], list(range(n)), set())
+    yield from rec(0, 0)
+
+
+def spanning_trees(g: Graph, cap: int = TREE_COUNT_CAP) -> Iterator[Graph]:
+    """Every spanning tree exactly once, as a ``Graph``."""
+    return (Graph(g.n, tuple(adj)) for adj in _tree_masks(g, cap))
+
+
+def _leaf_formula(adj: list[int] | tuple[int, ...]) -> int:
+    # n minus the leaves (single-bit masks); max covers n <= 2, where it is 1
+    return max(1, len(adj) - sum(a & (a - 1) == 0 for a in adj))
 
 
 def tree_gamma_wcon(t: Graph) -> int:
     """Weakly convex domination number of a tree: n minus the leaf count."""
-    if not (is_connected(t) and t.m == t.n - 1):
+    if not (t.m == t.n - 1 and mask_connected(t.adj, t.full_mask)):
         raise NotATree("tree formula applies to trees only")
-    if t.n <= 2:
-        return 1
-    leaves = sum(1 for v in range(t.n) if t.degree(v) == 1)
-    return t.n - leaves
+    return _leaf_formula(t.adj)
 
 
 def wcon_spectrum(g: Graph) -> SpectrumReport:
     """Weakly convex numbers over all spanning trees, with interval test."""
-    values = sorted(tree_gamma_wcon(t) for t in spanning_trees(g))
-    support = sorted(set(values))
-    is_interval = support == list(range(support[0], support[-1] + 1))
+    values = sorted(map(_leaf_formula, _tree_masks(g, TREE_COUNT_CAP)))
+    is_interval = len(set(values)) == values[-1] - values[0] + 1
     return SpectrumReport(graph_digest(g), values, is_interval, len(values))
 
 

@@ -310,6 +310,16 @@ def test_cli_sweep_and_interpolate(tmp_path, capsys):
     assert code == 0 and d["values"] == [3, 3, 3, 3, 3] and d["is_interval"]
 
 
+@pytest.mark.parametrize("text", ["2 1\n0 x\n", "2 y\n0 1\n", "z 1\n0 1\n", "2 1\n1.5 0\n"],
+                         ids=["edge-line", "header-m", "header-n", "edge-float"])
+def test_cli_edgelist_non_integer_token(tmp_path, capsys, text):
+    p = tmp_path / "bad.txt"
+    p.write_text(text)
+    for command in ("solve", "interpolate"):
+        code, out, err = run_cli(capsys, command, "--input", str(p), "--format", "edgelist")
+        assert code == 2 and out == "" and "want two integers" in err, command
+
+
 def test_cli_missing_file(capsys):
     code, _, err = run_cli(capsys, "solve", "--input", "/no/such/file.g6")
     assert code == 2 and "error" in err

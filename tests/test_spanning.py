@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,16 +10,19 @@ from domlab.errors import (
     NotUnicyclic,
     TreeCountCapExceeded,
 )
+from domlab import spanning
 from domlab.gadgets import (
     complete,
     cycle,
     edge_gap_gadget,
     path,
+    random_connected_graph,
     random_tree,
     random_unicyclic,
     star,
 )
-from domlab.graph import from_edge_list, is_connected
+from domlab.graph import from_edge_list, is_connected, raw_distance_matrix
+from domlab.harness import exhaustive_connected
 from domlab.spanning import (
     edge_removal_sweep,
     spanning_trees,
@@ -53,6 +57,80 @@ def test_spanning_trees_errors():
         next(spanning_trees(from_edge_list(2, [])))
     with pytest.raises(TreeCountCapExceeded):
         list(spanning_trees(complete(5), cap=100))
+
+
+def hamiltonian_plus_chords(rng: random.Random, n: int, chords: int):
+    """A 2-connected graph: a shuffled Hamiltonian cycle plus random chords."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(chords)]
+    return from_edge_list(n, edges)
+
+
+def brute_force_spectrum(g):
+    """n minus the leaf count over every (n-1)-edge subset that is a tree."""
+    values = []
+    for subset in combinations(g.edges(), g.n - 1):
+        root = list(range(g.n))
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        merges = 0
+        for u, v in subset:
+            ru, rv = find(u), find(v)
+            if ru != rv:
+                root[ru] = rv
+                merges += 1
+        if merges == g.n - 1:
+            degree = [0] * g.n
+            for u, v in subset:
+                degree[u] += 1
+                degree[v] += 1
+            values.append(1 if g.n <= 2 else g.n - degree.count(1))
+    return sorted(values)
+
+
+def test_spanning_tree_cap_covers_wcon_spectrum(monkeypatch):
+    monkeypatch.setattr(spanning, "TREE_COUNT_CAP", 100)
+    with pytest.raises(TreeCountCapExceeded):
+        wcon_spectrum(complete(5))
+    assert wcon_spectrum(complete(4)).tree_count == 16
+
+
+def test_wcon_spectrum_matches_brute_force():
+    graphs = list(exhaustive_connected(5))
+    rng = random.Random(7)
+    for seed in range(40):
+        graphs.append(random_connected_graph(rng.randint(1, 7), seed))
+        graphs.append(hamiltonian_plus_chords(rng, rng.randint(3, 7), rng.randint(0, 6)))
+    for g in graphs:
+        assert wcon_spectrum(g).values == brute_force_spectrum(g), g.adj
+
+
+def test_tree_count_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    for n in (9, 10, 11, 12):
+        for _ in range(2):
+            g = hamiltonian_plus_chords(rng, n, rng.randint(2, 5))
+            h = nx.Graph(g.edges())
+            expected = round(nx.number_of_spanning_trees(h))
+            assert wcon_spectrum(g).tree_count == expected
+            assert sum(1 for _ in spanning_trees(g)) == expected
+
+
+def test_wcon_spectrum_builds_no_distance_matrix_per_tree():
+    g = complete(6)  # 6^4 = 1,296 spanning trees
+    raw_distance_matrix.cache_clear()
+    raw_distance_matrix(g)  # the input graph's own entry
+    before = raw_distance_matrix.cache_info()
+    assert wcon_spectrum(g).tree_count == 1296
+    after = raw_distance_matrix.cache_info()
+    assert after.currsize == before.currsize and after.misses == before.misses
 
 
 def test_tree_gamma_wcon(cfg):

@@ -9,7 +9,7 @@ Run:  python3 demos/02_graph_classes_and_equality.py
 
 from collections import Counter
 
-from domlab.domination import SolverConfig, gamma_gap
+from domlab.domination import SolverConfig, gamma_pair
 from domlab.gadgets import h_star
 from domlab.harness import exhaustive_connected
 from domlab.recognizers import classify, is_gc_gwcon_perfect
@@ -20,7 +20,7 @@ total = Counter()
 equal = Counter()
 for g in exhaustive_connected(6):
     rep = classify(g)
-    gc, gw, _ = gamma_gap(g, cfg)
+    gc, gw = gamma_pair(g, cfg)
     for cls, member in (
         ("tree", rep.is_tree),
         ("cactus", rep.is_cactus),
@@ -38,7 +38,7 @@ for cls in total:
     print(f"{cls:<22}{total[cls]:6d}   {equal[cls]:6d}")
 
 desc = h_star()
-gc, gw, _ = gamma_gap(desc.graph, cfg)
+gc, gw = gamma_pair(desc.graph, cfg)
 perfect, _ = is_gc_gwcon_perfect(desc.graph, cfg)
 print(f"\n9-vertex chordal obstruction: gamma_c={gc}, gamma_wcon={gw}, "
       f"perfect={perfect}")

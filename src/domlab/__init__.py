@@ -26,7 +26,7 @@ from .domination import (
     Kind,
     SolverConfig,
     all_minimum_sets_oracle,
-    gamma_gap,
+    gamma_pair,
     is_connected_dominating,
     is_dominating,
     is_perfect_connected_dominating,
@@ -70,7 +70,7 @@ __all__ = [
     "distances_from",
     "edge_gap_gadget",
     "from_edge_list",
-    "gamma_gap",
+    "gamma_pair",
     "gap_gadget",
     "girth",
     "graph6_decode",

@@ -1,5 +1,6 @@
 """Command-line entry point: solve, classify, gadget, verify, sweep-edges,
-interpolate.  Exit codes: 0 success, 1 verification failure, 2 input error."""
+interpolate.  Exit codes: 0 success, 1 verification failure, 2 input error
+or a budget-truncated value outside ``verify``, 3 verification INCONCLUSIVE."""
 
 from __future__ import annotations
 
@@ -133,7 +134,8 @@ def cmd_verify(args) -> int:
     ids = args.theorems.split(",") if args.theorems else sorted(THEOREMS)
     report = run_verification(ids, corpus, _solver_config(args))
     _emit(args, report.to_json_lines())
-    return 0 if report.ok else 1
+    statuses = {c.status for c in report.checks}
+    return 1 if "FAIL" in statuses else 3 if "INCONCLUSIVE" in statuses else 0
 
 
 def cmd_sweep_edges(args) -> int:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 
-from .errors import Disconnected, EmptySet, ParameterOutOfRange, TierExceeded
+from .errors import Disconnected, EmptySet, Inconclusive, ParameterOutOfRange, TierExceeded
 from .graph import (
     Graph,
     graph6_encode,
@@ -266,11 +267,23 @@ def minimum_wcon_dominating(
     return _solve_minimum(g, Kind.WEAKLY_CONVEX, cfg)
 
 
-def gamma_gap(g: Graph, cfg: SolverConfig = SolverConfig()):
-    """(gamma_c, gamma_wcon, gap) with gap = gamma_wcon - gamma_c >= 0."""
-    c = minimum_connected_dominating(g, cfg)
-    w = minimum_wcon_dominating(g, cfg)
-    return c.value, w.value, w.value - c.value
+@lru_cache(maxsize=1 << 18)
+def gamma_pair(g: Graph, cfg: SolverConfig) -> tuple[int, int]:
+    """(gamma_c, gamma_wcon), each read off an optimal certificate.
+
+    Cached, since labeled subgraphs repeat heavily across corpora, sweeps
+    and perfectness tests. Raises ``Inconclusive`` when the node budget cut
+    a search short; a raised call is not cached. The solvers are looked up
+    when called, so a wrapper put on this module sees every solve.
+    """
+    pair = minimum_connected_dominating(g, cfg), minimum_wcon_dominating(g, cfg)
+    for cert in pair:
+        if not cert.optimal:
+            raise Inconclusive(
+                f"node budget {cfg.node_budget} ran out before the {cert.kind.value}"
+                f" domination number of {graph6_encode(g)} was proven"
+            )
+    return pair[0].value, pair[1].value
 
 
 # ---------------------------------------------------------------------------

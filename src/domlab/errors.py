@@ -63,3 +63,7 @@ class UnknownTheoremId(DomlabError):
 
 class CorpusReadError(DomlabError):
     pass
+
+
+class Inconclusive(DomlabError):
+    """The node budget ran out before a value was proven optimal."""

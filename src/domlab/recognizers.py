@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import GirthTooSmall, NotACactus, TierExceeded
-from .domination import SolverConfig, gamma_gap
+from .domination import SolverConfig, gamma_pair
 from .graph import (
     ACYCLIC,
     Graph,
@@ -433,6 +433,7 @@ def is_gc_gwcon_perfect(
     Chordal hosts shortcut to the obstruction-freeness test, whose witness
     is an induced copy of the obstruction; otherwise every connected
     induced subgraph is solved, and the witness is the first unequal one.
+    A solve cut short by the node budget raises ``Inconclusive``.
     """
     if is_chordal(g):
         from .gadgets import h_star
@@ -445,8 +446,8 @@ def is_gc_gwcon_perfect(
         if not mask_connected(g.adj, x):
             continue
         sub, _ = induced_subgraph(g, x)
-        c, w, gap = gamma_gap(sub, cfg)
-        if gap != 0:
+        gc, gw = gamma_pair(sub, cfg)
+        if gc != gw:
             return False, x
     return True, None
 

@@ -7,13 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import NotATree, NotUnicyclic, TreeCountCapExceeded
-from .domination import (
-    DominationCertificate,
-    SolverConfig,
-    graph_digest,
-    minimum_connected_dominating,
-    minimum_wcon_dominating,
-)
+from .domination import SolverConfig, gamma_pair, graph_digest
 from .graph import (
     Graph,
     blocks_and_bridges,
@@ -64,16 +58,7 @@ class EdgeRemovalRecord:
         return self.gamma_wcon_after - self.gamma_wcon_before
 
     def to_json_dict(self) -> dict:
-        return {
-            "edge": list(self.edge),
-            "is_bridge": self.is_bridge,
-            "gamma_c_before": self.gamma_c_before,
-            "gamma_c_after": self.gamma_c_after,
-            "gamma_wcon_before": self.gamma_wcon_before,
-            "gamma_wcon_after": self.gamma_wcon_after,
-            "delta_c": self.delta_c,
-            "delta_wcon": self.delta_wcon,
-        }
+        return {**vars(self), "edge": list(self.edge), "delta_c": self.delta_c, "delta_wcon": self.delta_wcon}
 
 
 def _tree_masks(g: Graph, cap: int) -> Iterator[list[int]]:
@@ -156,7 +141,7 @@ def unicyclic_cycle_edge_analysis(
     spanning tree whose value comes from the leaf-count formula."""
     if not (is_connected(g) and g.m == g.n):
         raise NotUnicyclic("analysis applies to connected unicyclic graphs")
-    before = minimum_wcon_dominating(g, cfg).value
+    _, before = gamma_pair(g, cfg)
     bridge_set = set(map(frozenset, blocks_and_bridges(g)[1]))
     records = []
     for u, v in g.edges():
@@ -176,11 +161,11 @@ def edge_removal_sweep(
 ) -> list[EdgeRemovalRecord]:
     """Both domination numbers before/after removing each non-bridge edge.
 
-    Bridge edges are recorded with ``is_bridge`` and no after-values.
+    Bridge edges are recorded with ``is_bridge`` and no after-values. A solve
+    cut short by the node budget raises ``Inconclusive``.
     """
     require_connected(g)
-    gc = minimum_connected_dominating(g, cfg).value
-    gw = minimum_wcon_dominating(g, cfg).value
+    gc, gw = gamma_pair(g, cfg)
     bridge_set = set(map(frozenset, blocks_and_bridges(g)[1]))
     records = []
     for u, v in g.edges():
@@ -191,8 +176,6 @@ def edge_removal_sweep(
             gamma_wcon_before=gw,
         )
         if not rec.is_bridge:
-            h = remove_edge(g, u, v)
-            rec.gamma_c_after = minimum_connected_dominating(h, cfg).value
-            rec.gamma_wcon_after = minimum_wcon_dominating(h, cfg).value
+            rec.gamma_c_after, rec.gamma_wcon_after = gamma_pair(remove_edge(g, u, v), cfg)
         records.append(rec)
     return records

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from domlab.errors import Disconnected, EmptySet, ParameterOutOfRange, TierExceeded
+from domlab.errors import Disconnected, EmptySet, Inconclusive, ParameterOutOfRange, TierExceeded
 from domlab.domination import (
     Kind,
     SolverConfig,
     all_minimum_sets_oracle,
-    gamma_gap,
+    gamma_pair,
     is_connected_dominating,
     is_dominating,
     is_perfect_connected_dominating,
@@ -143,9 +143,23 @@ def test_oracle_tier():
 
 
 def test_gamma_gap(cfg):
-    assert gamma_gap(gap_gadget(6).graph, cfg) == (10, 16, 6)
-    assert gamma_gap(complete(5), cfg) == (1, 1, 0)
-    assert gamma_gap(corona_k1(cycle(7)), cfg) == (7, 7, 0)
+    assert gamma_pair(gap_gadget(6).graph, cfg) == (10, 16)
+    assert gamma_pair(complete(5), cfg) == (1, 1)
+    assert gamma_pair(corona_k1(cycle(7)), cfg) == (7, 7)
+
+
+def test_gamma_pair_cached(cfg):
+    gamma_pair.cache_clear()
+    assert gamma_pair(cycle(7), cfg) == (5, 7)
+    assert gamma_pair(path(6), cfg) == (4, 4)
+    assert gamma_pair(cycle(7), cfg) == (5, 7)
+    assert gamma_pair.cache_info()[:2] == (1, 2)  # hits, misses
+    # a budget-truncated value raises every time, and is never cached
+    tight = SolverConfig(node_budget=3)
+    for _ in range(2):
+        with pytest.raises(Inconclusive, match="node budget 3"):
+            gamma_pair(cycle(9), tight)
+    assert gamma_pair.cache_info().currsize == 2
 
 
 def test_solver_agrees_with_oracle_random(cfg):
@@ -186,8 +200,8 @@ def test_gamma_c_never_exceeds_gamma_wcon(cfg):
             if u != v:
                 edges.append((u, v))
         g = from_edge_list(n, edges)
-        c, w, gap = gamma_gap(g, cfg)
-        assert gap >= 0 and c <= w
+        c, w = gamma_pair(g, cfg)
+        assert c <= w
 
 
 def test_budget_exceeded_yields_flagged_upper_bound():

@@ -1,11 +1,13 @@
 import dataclasses
+import io
 import json
+from collections import Counter
 
 import pytest
 
 from domlab.cli import main
 from domlab.domination import SolverConfig
-from domlab.errors import CorpusReadError, UnknownTheoremId
+from domlab.errors import CorpusReadError, Inconclusive, UnknownTheoremId
 from domlab.gadgets import (
     complete,
     corona_k1,
@@ -25,11 +27,10 @@ from domlab.harness import (
     THEOREMS,
     TheoremCheck,
     exhaustive_connected,
-    gamma_pair,
     read_graph6_file,
     run_verification,
 )
-from domlab.recognizers import is_distance_hereditary
+from domlab.recognizers import is_distance_hereditary, is_gc_gwcon_perfect
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +101,6 @@ def test_file_corpora_present(data_dir):
 # verification
 
 
-def test_gamma_pair_cached(cfg):
-    assert gamma_pair(cycle(7), cfg) == (5, 7)
-    assert gamma_pair(path(6), cfg) == (4, 4)
-
-
 def test_run_verification_small(cfg):
     report = run_verification(
         ["S2.n-2", "S3.dh"], CorpusSpec.parse("exhaustive:5"), cfg
@@ -169,6 +165,28 @@ def test_theorem_runner_reports_injected_failures(cfg, monkeypatch):
     assert [ce["graph6"] for ce in check_result.counterexamples] == odd
     assert check_result.stats == {"checked": len(scoped), "odd": len(odd), "never": 0}
     assert 0 < len(odd) < len(scoped) < sum(1 for _ in spec.graphs())
+
+
+def test_edge_bound_solves_each_graph_once(cfg, monkeypatch):
+    # the sweep's g - e are mostly corpus graphs, so the shared cache answers them
+    import domlab.domination as domination
+
+    solves = Counter()
+    solve = domination.minimum_connected_dominating
+
+    def counting(g, cfg):
+        solves[g] += 1
+        return solve(g, cfg)
+
+    domination.gamma_pair.cache_clear()
+    monkeypatch.setattr(domination, "minimum_connected_dominating", counting)
+    report = run_verification(["S4.edge-bound"], CorpusSpec.parse("exhaustive:5"), cfg)
+    assert report.ok and solves and max(solves.values()) == 1
+
+
+def test_perfectness_budget_truncation_raises():
+    with pytest.raises(Inconclusive):
+        is_gc_gwcon_perfect(fig_example_not_perfect().graph, SolverConfig(node_budget=1))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +307,26 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     )
     assert code == 1
     assert json.loads(out.strip().splitlines()[-1])["failed"] == 1
+
+
+def test_cli_verify_budget_truncation_is_inconclusive(capsys):
+    code, out, err = run_cli(capsys, "--budget", "3", "verify", "--corpus", "exhaustive:4")
+    *checks, summary = [json.loads(line) for line in out.splitlines()]
+    assert code == 3 and err == ""
+    assert summary["failed"] == 0 and all(c["status"] != "FAIL" for c in checks)
+    left_open = [c for c in checks if c["status"] == "INCONCLUSIVE"]
+    assert left_open and summary["inconclusive"] == len(left_open)
+    assert all(c["inconclusive"] and not c["counterexamples"] for c in left_open)
+    # named counters, like ``checked``, count only the graphs whose check concluded
+    for c in left_open:
+        assert all(v <= c["stats"]["checked"] for v in c["stats"].values()), c["id"]
+
+
+def test_cli_sweep_edges_budget_truncation(capsys, monkeypatch):
+    _, g6, _ = run_cli(capsys, "gadget", "cycle", "--k", "9")
+    monkeypatch.setattr("sys.stdin", io.StringIO(g6))
+    code, out, err = run_cli(capsys, "--budget", "3", "sweep-edges")
+    assert code == 2 and out == "" and "node budget 3" in err
 
 
 def test_cli_verify_bad_corpus(capsys):

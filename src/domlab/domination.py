@@ -12,7 +12,8 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 
 from .errors import Disconnected, EmptySet, Inconclusive, ParameterOutOfRange, TierExceeded
 from .graph import (
@@ -89,6 +90,51 @@ def is_connected_dominating(g: Graph, x: int) -> bool:
     return is_dominating(g, x) and mask_connected(g.adj, x)
 
 
+@lru_cache(maxsize=16)
+def _distance_balls(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """``balls[a][d]``: the vertices within host distance ``d`` of ``a``, for
+    ``d`` from 0 up to the eccentricity of ``a`` (the last ball is every
+    vertex) in a connected graph. Cached for the few graphs in hand, since
+    ``is_weakly_convex`` is called set after set on one graph."""
+    balls = []
+    for row in raw_distance_matrix(g):
+        layers = [0] * (max(row) + 1)
+        for v, d in enumerate(row):
+            layers[d] |= 1 << v
+        balls.append(tuple(accumulate(layers, or_)))
+    return tuple(balls)
+
+
+def _weakly_convex(adj: tuple[int, ...], balls: tuple[tuple[int, ...], ...], x: int) -> bool:
+    """True iff ``G[x]`` keeps the host distance of every pair of ``x``.
+
+    Induced distances never shrink, so a BFS inside ``x`` from ``a`` has
+    reached only ``balls[a][d] & x`` after ``d`` steps; ``x`` keeps every
+    distance from ``a`` iff each layer reaches all of it. The test stops at
+    the first layer that falls short, and skips the last member, whose
+    distances were checked from the others.
+    """
+    rest = x
+    while rest & (rest - 1):
+        a = rest & -rest
+        rest ^= a
+        ball = balls[a.bit_length() - 1]
+        seen = frontier = a
+        d = 0
+        while seen != x:
+            d += 1
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                reach |= adj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = reach & x & ~seen
+            seen |= frontier
+            if seen != ball[d] & x:
+                return False
+    return True
+
+
 def is_weakly_convex(g: Graph, x: int) -> bool:
     """Induced-distance criterion: d_{G[X]}(a,b) == d_G(a,b) for all a,b in X.
 
@@ -101,31 +147,7 @@ def is_weakly_convex(g: Graph, x: int) -> bool:
     dist = raw_distance_matrix(g)
     if any(d < 0 for d in dist[0]):
         raise Disconnected("weak convexity requires a connected host graph")
-    members = set_to_list(x)
-    if len(members) <= 1:
-        return True
-    adj = g.adj
-    for i, a in enumerate(members):
-        row = dist[a]
-        # layered bitmask BFS inside x
-        seen = 1 << a
-        frontier = seen
-        d = 0
-        ind = {a: 0}
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= adj[v]
-            nxt &= x & ~seen
-            d += 1
-            for v in iter_bits(nxt):
-                ind[v] = d
-            seen |= nxt
-            frontier = nxt
-        for b in members[i + 1 :]:
-            if ind.get(b, -1) != row[b]:
-                return False
-    return True
+    return _weakly_convex(g.adj, _distance_balls(g), x)
 
 
 def is_wcon_dominating(g: Graph, x: int) -> bool:
@@ -196,7 +218,7 @@ def _solve_minimum(g: Graph, kind: Kind, cfg: SolverConfig) -> DominationCertifi
     adj = g.adj
     closed = [a | 1 << v for v, a in enumerate(adj)]
     full = g.full_mask
-    wcon = kind is Kind.WEAKLY_CONVEX
+    balls = _distance_balls(g) if kind is Kind.WEAKLY_CONVEX else None
     budget = cfg.node_budget
     nodes = 0
     no_hit = full + 1  # above every vertex set
@@ -212,7 +234,7 @@ def _solve_minimum(g: Graph, kind: Kind, cfg: SolverConfig) -> DominationCertifi
         if s | forced >= best:
             return
         if size == k:
-            if cover == full and (not wcon or is_weakly_convex(g, s)):
+            if cover == full and (balls is None or _weakly_convex(adj, balls, s)):
                 best = s
             return
         if size + (forced & ~s).bit_count() > k:
@@ -236,14 +258,20 @@ def _solve_minimum(g: Graph, kind: Kind, cfg: SolverConfig) -> DominationCertifi
                     return
 
     roots = [forced & -forced] if forced else [1 << r for r in range(n) if not excluded >> r & 1]
+    # reach[r]: N[v] over the v >= r not excluded. With the vertices below the
+    # root banned, every vertex keeps a possible dominator iff it is full,
+    # since closed neighbourhoods are symmetric.
+    reach = [0] * (n + 1)
+    for v in reversed(range(n)):
+        reach[v] = reach[v + 1] if excluded >> v & 1 else reach[v + 1] | closed[v]
     diam = max(map(max, raw_distance_matrix(g)))
     for k in range(max(1, forced.bit_count(), diam - 1), n + 1):
         try:
             for root in roots:
-                banned = excluded if forced else excluded | (root - 1)
-                if not all(c & ~banned for c in closed):
-                    break  # some vertex can no longer be dominated, nor for later roots
                 r = root.bit_length() - 1
+                if reach[0 if forced else r] != full:
+                    break  # some vertex can no longer be dominated, nor for later roots
+                banned = excluded if forced else excluded | (root - 1)
                 grow(root, closed[r], adj[r] & ~banned, banned, 1)
         except _BudgetSpent:
             # fall back to the trivially feasible whole vertex set

@@ -66,4 +66,5 @@ class CorpusReadError(DomlabError):
 
 
 class Inconclusive(DomlabError):
-    """The node budget ran out before a value was proven optimal."""
+    """A value was not settled: the node budget ran out before it was
+    proven optimal, or its spanning trees were too many to enumerate."""

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .errors import CorpusReadError, Inconclusive, TierExceeded, UnknownTheoremId
+from .errors import CorpusReadError, Inconclusive, TierExceeded, TreeCountCapExceeded, UnknownTheoremId
 from .domination import (
     Kind,
     SolverConfig,
@@ -397,7 +397,10 @@ def _unicyclic(g: Graph, cfg: SolverConfig, stats: dict) -> list:
 
 
 def _interpolation(g: Graph, cfg: SolverConfig, stats: dict) -> list:
-    report = wcon_spectrum(g)
+    try:
+        report = wcon_spectrum(g)
+    except TreeCountCapExceeded as exc:
+        raise Inconclusive(str(exc)) from exc
     return [] if report.is_interval else [_counterexample(g, values=sorted(set(report.values)))]
 
 

@@ -4,6 +4,7 @@ sweeps for both domination numbers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterator, Optional
 
 from .errors import NotATree, NotUnicyclic, TreeCountCapExceeded
@@ -127,8 +128,38 @@ def tree_gamma_wcon(t: Graph) -> int:
     return _leaf_formula(t.adj)
 
 
+def _tree_count(g: Graph) -> int:
+    """Spanning-tree count of a connected graph by the matrix-tree theorem:
+    the determinant of the Laplacian without vertex 0, by fraction-free
+    (Bareiss) elimination. That matrix is positive definite, so every pivot
+    is a positive leading minor and no row swap is needed."""
+    rows = [[-(a >> v & 1) for v in range(1, g.n)] for a in g.adj[1:]]
+    for i, a in enumerate(g.adj[1:]):
+        rows[i][i] = a.bit_count()
+    prev = 1
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        for row in rows[k + 1 :]:
+            lead = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (row[j] * pivot - lead * pivot_row[j]) // prev
+        prev = pivot
+    return prev
+
+
 def wcon_spectrum(g: Graph) -> SpectrumReport:
-    """Weakly convex numbers over all spanning trees, with interval test."""
+    """Weakly convex numbers over all spanning trees, with interval test.
+
+    A graph with more than ``TREE_COUNT_CAP`` spanning trees is refused
+    before any is enumerated: the degree product over vertices 1..n-1 bounds
+    the count (each tree gives every such vertex one edge toward vertex 0),
+    and only a bound over the cap pays for the exact count.
+    """
+    if prod(a.bit_count() for a in g.adj[1:]) > TREE_COUNT_CAP:
+        require_connected(g)
+        count = _tree_count(g)
+        if count > TREE_COUNT_CAP:
+            raise TreeCountCapExceeded(f"{count} spanning trees, more than {TREE_COUNT_CAP}")
     values = sorted(map(_leaf_formula, _tree_masks(g, TREE_COUNT_CAP)))
     is_interval = len(set(values)) == values[-1] - values[0] + 1
     return SpectrumReport(graph_digest(g), values, is_interval, len(values))

@@ -27,7 +27,8 @@ from domlab.gadgets import (
     random_tree,
     star,
 )
-from domlab.graph import bit, from_edge_list, mask_of
+from domlab.graph import bit, from_edge_list, induced_subgraph, mask_connected, mask_of, raw_distance_matrix
+from domlab.harness import exhaustive_connected
 from domlab.spanning import wcon_spectrum
 
 
@@ -69,6 +70,24 @@ def test_is_weakly_convex():
     hs = h_star()
     supports = mask_of(hs.labels[x] for x in ("A", "B", "C", "E"))
     assert not is_weakly_convex(hs.graph, supports)
+
+
+def isometric_by_definition(g, x):
+    """Every pair of x at its host distance in G[x]; unreachable is -1."""
+    sub, old = induced_subgraph(g, x)
+    host, inner = raw_distance_matrix(g), raw_distance_matrix(sub)
+    return all(inner[i][j] == host[a][b] for i, a in enumerate(old) for j, b in enumerate(old))
+
+
+def test_is_weakly_convex_matches_definition():
+    cases = [(g, range(1, 1 << g.n)) for g in exhaustive_connected(5)]
+    rng = random.Random(5)
+    for _ in range(10):
+        g = hamiltonian_plus_chords(rng, rng.randint(9, 11), rng.randint(2, 6))
+        cases.append((g, [x for x in range(1, 1 << g.n) if mask_connected(g.adj, x)]))
+    for g, subsets in cases:
+        for x in subsets:
+            assert is_weakly_convex(g, x) == isometric_by_definition(g, x), (g.adj, x)
 
 
 def test_is_wcon_dominating():

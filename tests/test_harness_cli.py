@@ -329,6 +329,28 @@ def test_cli_sweep_edges_budget_truncation(capsys, monkeypatch):
     assert code == 2 and out == "" and "node budget 3" in err
 
 
+def test_cli_verify_refuses_oversized_spectrum(capsys, monkeypatch):
+    import domlab.spanning as spanning
+
+    def no_enumeration(g, cap):
+        raise AssertionError("a graph over the tree cap was enumerated")
+
+    monkeypatch.setattr(spanning, "_tree_masks", no_enumeration)
+    code, out, err = run_cli(
+        capsys, "verify", "--theorems", "S2.n-2,S4.interpolation", "--corpus", "gadget:gap:8"
+    )
+    n_minus_2, interpolation, summary = [json.loads(line) for line in out.splitlines()]
+    assert code == 3 and err == ""
+    assert n_minus_2["status"] == "PASS" and n_minus_2["stats"]["checked"] == 1
+    assert interpolation["status"] == "INCONCLUSIVE"
+    assert interpolation["inconclusive"] == [graph6_encode(gap_gadget(8).graph)]
+    assert summary["passed"] == 1 and summary["inconclusive"] == 1
+    _, g6, _ = run_cli(capsys, "gadget", "gap", "--k", "8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(g6))
+    code, out, err = run_cli(capsys, "interpolate")
+    assert code == 2 and out == "" and "2594880 spanning trees" in err
+
+
 def test_cli_verify_bad_corpus(capsys):
     for corpus in ("bogus:1", "exhaustive:x", "gadget:foo:1", "random:nosuch:0:1",
                    "random:tree:-5:1", "exhaustive:0", "exhaustive:8"):

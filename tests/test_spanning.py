@@ -15,6 +15,7 @@ from domlab.gadgets import (
     complete,
     cycle,
     edge_gap_gadget,
+    gap_gadget,
     path,
     random_connected_graph,
     random_tree,
@@ -121,6 +122,11 @@ def test_tree_count_matches_networkx():
             expected = round(nx.number_of_spanning_trees(h))
             assert wcon_spectrum(g).tree_count == expected
             assert sum(1 for _ in spanning_trees(g)) == expected
+            assert spanning._tree_count(g) == expected
+    # past the cap, where only the matrix-tree count is taken
+    for k in (6, 7, 8):
+        g = gap_gadget(k).graph
+        assert spanning._tree_count(g) == round(nx.number_of_spanning_trees(nx.Graph(g.edges())))
 
 
 def test_wcon_spectrum_builds_no_distance_matrix_per_tree():

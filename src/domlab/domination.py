@@ -8,7 +8,6 @@ used to cross-validate the pruned route on small graphs.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -64,10 +63,6 @@ class DominationCertificate:
             "optimal": self.optimal,
             "nodes_expanded": self.nodes_expanded,
         }
-
-
-def graph_digest(g: Graph) -> str:
-    return hashlib.sha256(graph6_encode(g).encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +168,6 @@ def is_perfect_connected_dominating(g: Graph, d: int, outside_only: bool = True)
             if (g.adj[v] & d).bit_count() != 0:
                 return False
     return True
-
-
-_KIND_PREDICATE = {
-    Kind.CONNECTED: is_connected_dominating,
-    Kind.WEAKLY_CONVEX: is_wcon_dominating,
-}
-
-
-def kind_predicate(kind: Kind):
-    return _KIND_PREDICATE[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +307,7 @@ def all_minimum_sets_oracle(g: Graph, kind: Kind) -> list[int]:
     """All minimum sets of ``kind`` by plain cardinality-layered enumeration."""
     if g.n > ORACLE_TIER:
         raise TierExceeded(f"oracle tier is {ORACLE_TIER}, graph has {g.n} vertices")
-    predicate = _KIND_PREDICATE[kind]
+    predicate = is_connected_dominating if kind is Kind.CONNECTED else is_wcon_dominating
     verts = range(g.n)
     for size in range(1, g.n + 1):
         hits = []

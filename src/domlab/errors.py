@@ -49,10 +49,6 @@ class NotATree(DomlabError):
     pass
 
 
-class NotUnicyclic(DomlabError):
-    pass
-
-
 class TreeCountCapExceeded(DomlabError):
     pass
 

@@ -47,9 +47,6 @@ UNREACHABLE = _Sentinel("UNREACHABLE")
 #: Girth value for forests.
 ACYCLIC = _Sentinel("ACYCLIC")
 
-VertexSet = int  # bit mask over vertex indices
-
-
 def bit(v: int) -> int:
     return 1 << v
 
@@ -255,10 +252,10 @@ def raw_distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def distances_from(g: Graph, v: int) -> list:
-    """BFS distances from ``v``; unreachable entries become the sentinel."""
+    """Distances from ``v``; unreachable entries become the sentinel."""
     if not 0 <= v < g.n:
         raise IndexOutOfRange(f"vertex {v} outside 0..{g.n - 1}")
-    return [d if d >= 0 else UNREACHABLE for d in _bfs_row(g.adj, g.n, v)]
+    return [d if d >= 0 else UNREACHABLE for d in raw_distance_matrix(g)[v]]
 
 
 def distance_matrix(g: Graph) -> list[list]:
@@ -280,21 +277,16 @@ def diameter(g: Graph):
 def girth(g: Graph):
     """Length of the shortest cycle; ACYCLIC for forests.
 
-    Per-source BFS: the shortest cycle through edges seen from source v is
-    found via a cross edge inside or between BFS layers.
+    For each source's row of the distance matrix, the shortest cycle through
+    edges seen from that source is found via a cross edge inside or between
+    BFS layers (an edge that is not a BFS-tree edge).
     """
     best = None
-    for src in range(g.n):
-        dist = _bfs_row(g.adj, g.n, src)
+    for dist in raw_distance_matrix(g):
         parent = [-1] * g.n
-        order = sorted((d, v) for v, d in enumerate(dist) if d >= 0)
-        for _, v in order:
-            if v == src:
-                continue
-            for u in iter_bits(g.adj[v]):
-                if dist[u] == dist[v] - 1:
-                    parent[v] = u
-                    break
+        for v, d in enumerate(dist):
+            if d > 0:  # BFS parent: the lowest neighbour one layer closer
+                parent[v] = next(u for u in iter_bits(g.adj[v]) if dist[u] == d - 1)
         for u in range(g.n):
             if dist[u] < 0:
                 continue
@@ -358,10 +350,8 @@ def mask_connected(adj: tuple[int, ...], x: int) -> bool:
 @dataclass(frozen=True)
 class VertexRoles:
     leaves: int
-    supports: int
     cut_vertices: int
     simplicial: int
-    degrees: tuple[int, ...]
 
 
 def _is_simplicial(g: Graph, v: int) -> bool:
@@ -376,14 +366,14 @@ def blocks_and_bridges(g: Graph) -> tuple[list[int], list[tuple[int, int]], int]
     """Biconnected decomposition.
 
     Returns (block vertex masks, bridge edges, articulation-vertex mask).
-    Iterative Hopcroft–Tarjan; isolated vertices form no block.
+    Iterative Hopcroft–Tarjan collects the blocks; isolated vertices form
+    no block. The bridges are the 2-vertex blocks, and the articulation
+    vertices are the vertices in two or more blocks.
     """
     disc = [-1] * g.n
     low = [0] * g.n
     parent = [-1] * g.n
     blocks: list[int] = []
-    bridges: list[tuple[int, int]] = []
-    cut = 0
     stack: list[tuple[int, int]] = []  # edge stack
     timer = 0
     for root in range(g.n):
@@ -392,7 +382,6 @@ def blocks_and_bridges(g: Graph) -> tuple[list[int], list[tuple[int, int]], int]
         work = [(root, iter_bits(g.adj[root]))]
         disc[root] = low[root] = timer
         timer += 1
-        root_children = 0
         while work:
             v, it = work[-1]
             advanced = False
@@ -402,8 +391,6 @@ def blocks_and_bridges(g: Graph) -> tuple[list[int], list[tuple[int, int]], int]
                     parent[w] = v
                     disc[w] = low[w] = timer
                     timer += 1
-                    if v == root:
-                        root_children += 1
                     work.append((w, iter_bits(g.adj[w])))
                     advanced = True
                     break
@@ -417,36 +404,27 @@ def blocks_and_bridges(g: Graph) -> tuple[list[int], list[tuple[int, int]], int]
                 u = work[-1][0]
                 low[u] = min(low[u], low[v])
                 if low[v] >= disc[u]:
-                    # u closes a block
+                    # u closes a block: the edges above and including (u, v)
                     mask = 0
-                    edge_count = 0
-                    while stack and disc[stack[-1][0]] >= disc[v]:
+                    while True:
                         a, b = stack.pop()
                         mask |= 1 << a | 1 << b
-                        edge_count += 1
-                    if stack:
-                        a, b = stack.pop()
-                        mask |= 1 << a | 1 << b
-                        edge_count += 1
-                    if mask:
-                        blocks.append(mask)
-                        if edge_count == 1:
-                            a, b = min(set_to_list(mask)), max(set_to_list(mask))
-                            bridges.append((a, b))
-                    if u != root or root_children > 1:
-                        cut |= 1 << u
+                        if a == u and b == v:
+                            break
+                    blocks.append(mask)
+    bridges = [tuple(set_to_list(b)) for b in blocks if b.bit_count() == 2]
+    seen = cut = 0
+    for b in blocks:
+        cut |= seen & b
+        seen |= b
     return blocks, bridges, cut
 
 
 def vertex_roles(g: Graph) -> VertexRoles:
-    degrees = tuple(a.bit_count() for a in g.adj)
-    leaves = mask_of(v for v in range(g.n) if degrees[v] == 1)
-    supports = 0
-    for v in iter_bits(leaves):
-        supports |= g.adj[v]
+    leaves = mask_of(v for v in range(g.n) if g.adj[v].bit_count() == 1)
     simplicial = mask_of(v for v in range(g.n) if _is_simplicial(g, v))
     _, _, cut = blocks_and_bridges(g)
-    return VertexRoles(leaves, supports, cut, simplicial, degrees)
+    return VertexRoles(leaves, cut, simplicial)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from typing import Optional
 
 from .errors import GirthTooSmall, NotACactus, TierExceeded
 from .domination import SolverConfig, gamma_pair
+from .gadgets import h_star
 from .graph import (
     ACYCLIC,
     Graph,
@@ -250,8 +251,6 @@ def contains_induced(g: Graph, h: Graph) -> Optional[dict[int, int]]:
 
 
 def is_h_star_free(g: Graph) -> bool:
-    from .gadgets import h_star
-
     return contains_induced(g, h_star().graph) is None
 
 
@@ -436,8 +435,6 @@ def is_gc_gwcon_perfect(
     A solve cut short by the node budget raises ``Inconclusive``.
     """
     if is_chordal(g):
-        from .gadgets import h_star
-
         emb = contains_induced(g, h_star().graph)
         return (True, None) if emb is None else (False, mask_of(emb.values()))
     if g.n > PERFECTNESS_TIER:

@@ -3,16 +3,17 @@ sweeps for both domination numbers."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from math import prod
 from typing import Iterator, Optional
 
-from .errors import NotATree, NotUnicyclic, TreeCountCapExceeded
-from .domination import SolverConfig, gamma_pair, graph_digest
+from .errors import NotATree, TreeCountCapExceeded
+from .domination import SolverConfig, gamma_pair
 from .graph import (
     Graph,
     blocks_and_bridges,
-    is_connected,
+    graph6_encode,
     mask_connected,
     remove_edge,
     require_connected,
@@ -62,7 +63,7 @@ class EdgeRemovalRecord:
         return {**vars(self), "edge": list(self.edge), "delta_c": self.delta_c, "delta_wcon": self.delta_wcon}
 
 
-def _tree_masks(g: Graph, cap: int) -> Iterator[list[int]]:
+def _tree_masks(g: Graph) -> Iterator[list[int]]:
     """Adjacency masks of every spanning tree once, by edge inclusion and
     exclusion with bridge forcing (Read & Tarjan, Networks 1975): an edge is
     excluded only while the graph minus the excluded edges stays connected.
@@ -72,7 +73,6 @@ def _tree_masks(g: Graph, cap: int) -> Iterator[list[int]]:
     n, full = g.n, g.full_mask
     host, tree = list(g.adj), [0] * n
     root = list(range(n))  # union-find of the tree's components, undone on return
-    emitted = 0
 
     def find(x: int) -> int:
         while root[x] != x:
@@ -80,11 +80,7 @@ def _tree_masks(g: Graph, cap: int) -> Iterator[list[int]]:
         return x
 
     def rec(i: int, size: int):
-        nonlocal emitted
         if size == n - 1:
-            emitted += 1
-            if emitted > cap:
-                raise TreeCountCapExceeded(f"more than {cap} spanning trees")
             if not mask_connected(tree, full):
                 raise NotATree("enumeration emitted a disconnected edge set")
             yield tree
@@ -111,9 +107,11 @@ def _tree_masks(g: Graph, cap: int) -> Iterator[list[int]]:
     yield from rec(0, 0)
 
 
-def spanning_trees(g: Graph, cap: int = TREE_COUNT_CAP) -> Iterator[Graph]:
-    """Every spanning tree exactly once, as a ``Graph``."""
-    return (Graph(g.n, tuple(adj)) for adj in _tree_masks(g, cap))
+def spanning_trees(g: Graph) -> Iterator[Graph]:
+    """Every spanning tree exactly once, as a ``Graph``; a graph with more
+    than ``TREE_COUNT_CAP`` of them is refused before any is enumerated."""
+    _refuse_oversized(g)
+    return (Graph(g.n, tuple(adj)) for adj in _tree_masks(g))
 
 
 def _leaf_formula(adj: list[int] | tuple[int, ...]) -> int:
@@ -147,44 +145,30 @@ def _tree_count(g: Graph) -> int:
     return prev
 
 
-def wcon_spectrum(g: Graph) -> SpectrumReport:
-    """Weakly convex numbers over all spanning trees, with interval test.
-
-    A graph with more than ``TREE_COUNT_CAP`` spanning trees is refused
-    before any is enumerated: the degree product over vertices 1..n-1 bounds
-    the count (each tree gives every such vertex one edge toward vertex 0),
-    and only a bound over the cap pays for the exact count.
+def _refuse_oversized(g: Graph) -> None:
+    """Raise ``TreeCountCapExceeded`` when ``g`` has more than
+    ``TREE_COUNT_CAP`` spanning trees. The degree product over vertices
+    1..n-1 bounds the count (each tree gives every such vertex one edge
+    toward vertex 0), and only a bound over the cap pays for the exact count.
     """
     if prod(a.bit_count() for a in g.adj[1:]) > TREE_COUNT_CAP:
         require_connected(g)
         count = _tree_count(g)
         if count > TREE_COUNT_CAP:
             raise TreeCountCapExceeded(f"{count} spanning trees, more than {TREE_COUNT_CAP}")
-    values = sorted(map(_leaf_formula, _tree_masks(g, TREE_COUNT_CAP)))
+
+
+def graph_digest(g: Graph) -> str:
+    return hashlib.sha256(graph6_encode(g).encode()).hexdigest()[:16]
+
+
+def wcon_spectrum(g: Graph) -> SpectrumReport:
+    """Weakly convex numbers over all spanning trees, with interval test;
+    refused up front past ``TREE_COUNT_CAP`` trees, like ``spanning_trees``."""
+    _refuse_oversized(g)
+    values = sorted(map(_leaf_formula, _tree_masks(g)))
     is_interval = len(set(values)) == values[-1] - values[0] + 1
     return SpectrumReport(graph_digest(g), values, is_interval, len(values))
-
-
-def unicyclic_cycle_edge_analysis(
-    g: Graph, cfg: SolverConfig = SolverConfig()
-) -> list[EdgeRemovalRecord]:
-    """One record per cycle edge of a unicyclic graph; removal yields a
-    spanning tree whose value comes from the leaf-count formula."""
-    if not (is_connected(g) and g.m == g.n):
-        raise NotUnicyclic("analysis applies to connected unicyclic graphs")
-    _, before = gamma_pair(g, cfg)
-    bridge_set = set(map(frozenset, blocks_and_bridges(g)[1]))
-    records = []
-    for u, v in g.edges():
-        if frozenset((u, v)) in bridge_set:
-            continue
-        after = tree_gamma_wcon(remove_edge(g, u, v))
-        records.append(
-            EdgeRemovalRecord(
-                (u, v), False, gamma_wcon_before=before, gamma_wcon_after=after
-            )
-        )
-    return records
 
 
 def edge_removal_sweep(

@@ -182,19 +182,16 @@ def test_vertex_roles_p3():
     r = vertex_roles(path(3))
     assert set_to_list(r.cut_vertices) == [1]
     assert set_to_list(r.leaves) == [0, 2]
-    assert set_to_list(r.supports) == [1]
     assert set_to_list(r.simplicial) == [0, 2]
 
 
 def test_vertex_roles_c5():
     r = vertex_roles(cycle(5))
-    assert r.leaves == r.supports == r.cut_vertices == r.simplicial == 0
-    assert r.degrees == (2,) * 5
+    assert r.leaves == r.cut_vertices == r.simplicial == 0
 
 
 def test_vertex_roles_star():
     r = vertex_roles(star(5))
-    assert set_to_list(r.supports) == [0]
     assert set_to_list(r.cut_vertices) == [0]
     assert set_to_list(r.leaves) == [1, 2, 3, 4]
     assert set_to_list(r.simplicial) == [1, 2, 3, 4]
@@ -212,10 +209,6 @@ def test_roles_invariants_random():
         g = from_edge_list(n, edges)
         r = vertex_roles(g)
         assert r.leaves & ~r.simplicial == 0  # every leaf is simplicial
-        for v in set_to_list(r.leaves):
-            assert g.adj[v] & r.supports == g.adj[v]
-        if n >= 3 and is_connected(g):
-            assert r.supports & r.leaves == 0
         # cross-check cut vertices by deletion probes
         base = len(components(g))
         for v in range(n):

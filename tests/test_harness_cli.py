@@ -332,7 +332,7 @@ def test_cli_sweep_edges_budget_truncation(capsys, monkeypatch):
 def test_cli_verify_refuses_oversized_spectrum(capsys, monkeypatch):
     import domlab.spanning as spanning
 
-    def no_enumeration(g, cap):
+    def no_enumeration(g):
         raise AssertionError("a graph over the tree cap was enumerated")
 
     monkeypatch.setattr(spanning, "_tree_masks", no_enumeration)
@@ -349,6 +349,15 @@ def test_cli_verify_refuses_oversized_spectrum(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(g6))
     code, out, err = run_cli(capsys, "interpolate")
     assert code == 2 and out == "" and "2594880 spanning trees" in err
+
+
+def test_cli_verify_refuses_disconnected_file_graph(tmp_path, capsys):
+    p = tmp_path / "mixed.g6"
+    p.write_text("Bw\nBG\n")  # the triangle, then an edge plus an isolated vertex
+    for theorems in ((), ("--theorems", "S4.interpolation")):
+        code, out, err = run_cli(capsys, "verify", *theorems, "--corpus", f"file:{p}")
+        assert code == 2 and out == "", theorems
+        assert f"{p}:2: graph BG is disconnected" in err, theorems
 
 
 def test_cli_verify_bad_corpus(capsys):

@@ -7,7 +7,6 @@ from domlab.domination import minimum_wcon_dominating
 from domlab.errors import (
     Disconnected,
     NotATree,
-    NotUnicyclic,
     TreeCountCapExceeded,
 )
 from domlab import spanning
@@ -22,13 +21,12 @@ from domlab.gadgets import (
     random_unicyclic,
     star,
 )
-from domlab.graph import from_edge_list, is_connected, raw_distance_matrix
+from domlab.graph import from_edge_list, girth, is_connected, raw_distance_matrix, remove_edge
 from domlab.harness import exhaustive_connected
 from domlab.spanning import (
     edge_removal_sweep,
     spanning_trees,
     tree_gamma_wcon,
-    unicyclic_cycle_edge_analysis,
     wcon_spectrum,
 )
 
@@ -53,11 +51,14 @@ def test_spanning_trees_are_trees():
     assert len(seen) == 9  # 3 choices per triangle of the bowtie
 
 
-def test_spanning_trees_errors():
+def test_spanning_trees_errors(monkeypatch):
     with pytest.raises(Disconnected):
         next(spanning_trees(from_edge_list(2, [])))
+    monkeypatch.setattr(spanning, "TREE_COUNT_CAP", 100)
     with pytest.raises(TreeCountCapExceeded):
-        list(spanning_trees(complete(5), cap=100))
+        spanning_trees(complete(5))  # refused before any tree is enumerated
+    monkeypatch.setattr(spanning, "TREE_COUNT_CAP", 125)
+    assert sum(1 for _ in spanning_trees(complete(5))) == 125
 
 
 def hamiltonian_plus_chords(rng: random.Random, n: int, chords: int):
@@ -175,32 +176,29 @@ def test_wcon_spectrum_json():
 
 def test_unicyclic_analysis(cfg):
     c5 = cycle(5)
-    records = unicyclic_cycle_edge_analysis(c5, cfg)
-    assert len(records) == 5
+    records = edge_removal_sweep(c5, cfg)
+    assert len(records) == 5 and not any(rec.is_bridge for rec in records)
     for rec in records:
         # three consecutive vertices work both on C_5 and on P_5
         assert rec.gamma_wcon_before == 3 and rec.gamma_wcon_after == 3
+        assert rec.gamma_wcon_after == tree_gamma_wcon(remove_edge(c5, *rec.edge))
         assert rec.delta_wcon == 0
-    with pytest.raises(NotUnicyclic):
-        unicyclic_cycle_edge_analysis(path(5), cfg)
-    with pytest.raises(NotUnicyclic):
-        unicyclic_cycle_edge_analysis(complete(4), cfg)
 
 
 def test_unicyclic_analysis_random(cfg):
     for seed in range(15):
         g = random_unicyclic(random.Random(seed).randint(4, 12), seed)
         before = minimum_wcon_dominating(g, cfg).value
-        for rec in unicyclic_cycle_edge_analysis(g, cfg):
+        cycle_edges = 0
+        for rec in edge_removal_sweep(g, cfg):
             assert rec.gamma_wcon_before == before
-            # removal never decreases the weakly convex number... is false in
-            # general; but the spanning-tree value is always >= gamma_wcon of a
-            # minimum over all spanning trees, so just re-check via the solver
-            u, v = rec.edge
-            from domlab.graph import remove_edge
-
-            h = remove_edge(g, u, v)
-            assert rec.gamma_wcon_after == minimum_wcon_dominating(h, cfg).value
+            if rec.is_bridge:
+                continue
+            # removing a cycle edge leaves a spanning tree: the solver's value
+            # after removal must match the tree's leaf formula
+            cycle_edges += 1
+            assert rec.gamma_wcon_after == tree_gamma_wcon(remove_edge(g, *rec.edge))
+        assert cycle_edges == girth(g)
 
 
 def test_edge_removal_sweep_bowtie(bowtie, cfg):

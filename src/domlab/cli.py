@@ -10,7 +10,6 @@ import sys
 
 from .errors import DomlabError
 from .domination import (
-    Kind,
     SolverConfig,
     minimum_connected_dominating,
     minimum_wcon_dominating,

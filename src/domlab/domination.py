@@ -73,9 +73,12 @@ def is_dominating(g: Graph, x: int) -> bool:
     """True iff every vertex outside ``x`` has a neighbour in ``x``."""
     if x == 0:
         raise EmptySet("dominating predicate on the empty set")
-    covered = x
-    for v in iter_bits(x):
-        covered |= g.adj[v]
+    adj = g.adj
+    covered = rest = x
+    while rest:
+        b = rest & -rest
+        covered |= adj[b.bit_length() - 1]
+        rest ^= b
     return covered == g.full_mask
 
 

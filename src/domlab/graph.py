@@ -228,20 +228,19 @@ def to_dot(g: Graph) -> str:
 def _bfs_row(adj: tuple[int, ...], n: int, source: int) -> list[int]:
     # -1 marks unreachable; callers translate to the public sentinel.
     dist = [-1] * n
-    dist[source] = 0
-    frontier = 1 << source
-    seen = frontier
+    seen = frontier = 1 << source
     d = 0
     while frontier:
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
-        nxt &= ~seen
-        d += 1
-        for v in iter_bits(nxt):
+        while frontier:  # each layer's vertices get their distance as they expand
+            b = frontier & -frontier
+            v = b.bit_length() - 1
             dist[v] = d
-        seen |= nxt
-        frontier = nxt
+            nxt |= adj[v]
+            frontier ^= b
+        frontier = nxt & ~seen
+        seen |= frontier
+        d += 1
     return dist
 
 
@@ -331,15 +330,15 @@ def mask_connected(adj: tuple[int, ...], x: int) -> bool:
     """True iff the subgraph induced by mask ``x`` is connected (x nonempty)."""
     if x == 0:
         return False
-    seen = x & -x
-    frontier = seen
+    seen = frontier = x & -x
     while frontier:
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
-        nxt &= x & ~seen
-        seen |= nxt
-        frontier = nxt
+        while frontier:
+            b = frontier & -frontier
+            nxt |= adj[b.bit_length() - 1]
+            frontier ^= b
+        frontier = nxt & x & ~seen
+        seen |= frontier
     return seen == x
 
 
@@ -355,10 +354,12 @@ class VertexRoles:
 
 
 def _is_simplicial(g: Graph, v: int) -> bool:
-    nbrs = g.adj[v]
-    for u in iter_bits(nbrs):
-        if nbrs & ~g.adj[u] & ~(1 << u):
+    nbrs = rest = g.adj[v]
+    while rest:
+        b = rest & -rest
+        if nbrs & ~g.adj[b.bit_length() - 1] & ~b:
             return False
+        rest ^= b
     return True
 
 
@@ -373,45 +374,48 @@ def blocks_and_bridges(g: Graph) -> tuple[list[int], list[tuple[int, int]], int]
     disc = [-1] * g.n
     low = [0] * g.n
     parent = [-1] * g.n
+    pending = list(g.adj)  # the neighbours each vertex has not looked at yet
     blocks: list[int] = []
     stack: list[tuple[int, int]] = []  # edge stack
     timer = 0
     for root in range(g.n):
         if disc[root] != -1:
             continue
-        work = [(root, iter_bits(g.adj[root]))]
+        work = [root]
         disc[root] = low[root] = timer
         timer += 1
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
+            v = work[-1]
+            rest = pending[v]
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                w = b.bit_length() - 1
                 if disc[w] == -1:
+                    pending[v] = rest
                     stack.append((v, w))
                     parent[w] = v
                     disc[w] = low[w] = timer
                     timer += 1
-                    work.append((w, iter_bits(g.adj[w])))
-                    advanced = True
+                    work.append(w)
                     break
-                elif w != parent[v] and disc[w] < disc[v]:
+                if w != parent[v] and disc[w] < disc[v]:
                     stack.append((v, w))
                     low[v] = min(low[v], disc[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-                if low[v] >= disc[u]:
-                    # u closes a block: the edges above and including (u, v)
-                    mask = 0
-                    while True:
-                        a, b = stack.pop()
-                        mask |= 1 << a | 1 << b
-                        if a == u and b == v:
-                            break
-                    blocks.append(mask)
+            else:  # every neighbour of v is looked at: v is finished
+                work.pop()
+                if work:
+                    u = work[-1]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        # u closes a block: the edges above and including (u, v)
+                        mask = 0
+                        while True:
+                            a, b = stack.pop()
+                            mask |= 1 << a | 1 << b
+                            if a == u and b == v:
+                                break
+                        blocks.append(mask)
     bridges = [tuple(set_to_list(b)) for b in blocks if b.bit_count() == 2]
     seen = cut = 0
     for b in blocks:
@@ -420,7 +424,10 @@ def blocks_and_bridges(g: Graph) -> tuple[list[int], list[tuple[int, int]], int]
     return blocks, bridges, cut
 
 
+@lru_cache(maxsize=16)
 def vertex_roles(g: Graph) -> VertexRoles:
+    """Leaves, cut vertices and simplicial vertices as masks. Cached for the
+    few graphs in hand, since both solves of a ``gamma_pair`` read them."""
     leaves = mask_of(v for v in range(g.n) if g.adj[v].bit_count() == 1)
     simplicial = mask_of(v for v in range(g.n) if _is_simplicial(g, v))
     _, _, cut = blocks_and_bridges(g)

@@ -63,10 +63,29 @@ class EdgeRemovalRecord:
         return {**vars(self), "edge": list(self.edge), "delta_c": self.delta_c, "delta_wcon": self.delta_wcon}
 
 
+def _reaches(adj: list[int], a: int, b: int) -> bool:
+    """True iff the vertex of bit ``b`` is reachable from the vertex of bit
+    ``a``; the BFS stops at the first layer that touches ``b``."""
+    seen = frontier = a
+    while frontier:
+        nxt = 0
+        while frontier:
+            c = frontier & -frontier
+            nxt |= adj[c.bit_length() - 1]
+            frontier ^= c
+        if nxt & b:
+            return True
+        frontier = nxt & ~seen
+        seen |= frontier
+    return False
+
+
 def _tree_masks(g: Graph) -> Iterator[list[int]]:
     """Adjacency masks of every spanning tree once, by edge inclusion and
     exclusion with bridge forcing (Read & Tarjan, Networks 1975): an edge is
     excluded only while the graph minus the excluded edges stays connected.
+    That graph is connected before uv is excluded, so it stays connected
+    exactly when v is still reachable from u.
     Both mask lists change in place, so a yielded list is valid until the next."""
     require_connected(g)
     edges = [(u, v, 1 << u, 1 << v) for u, v in g.edges()]
@@ -99,7 +118,7 @@ def _tree_masks(g: Graph) -> Iterator[list[int]]:
         root[ru] = ru
         host[u] ^= bv
         host[v] ^= bu
-        if mask_connected(host, full):
+        if _reaches(host, bu, bv):
             yield from rec(i + 1, size)
         host[u] ^= bv
         host[v] ^= bu

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,6 @@ from domlab.gadgets import cycle, complete, gap_gadget, path, star
 from domlab.graph import (
     ACYCLIC,
     UNREACHABLE,
-    Graph,
     add_edge,
     blocks_and_bridges,
     components,
@@ -29,13 +29,16 @@ from domlab.graph import (
     graph6_encode,
     induced_subgraph,
     is_connected,
+    mask_connected,
     mask_of,
     parse_edge_list,
+    raw_distance_matrix,
     remove_edge,
     set_to_list,
     to_dot,
     vertex_roles,
 )
+from domlab.harness import exhaustive_connected
 
 
 def test_from_edge_list_triangle():
@@ -218,6 +221,77 @@ def test_roles_invariants_random():
                 1 if g.adj[v] == 0 else 0
             )
             assert grew == bool(r.cut_vertices >> v & 1)
+
+
+def component_count(n, edges, gone=-1):
+    """Components of the graph on ``n`` vertices without vertex ``gone``,
+    by a plain DFS over adjacency lists."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen = {gone}
+    count = 0
+    for s in range(n):
+        if s in seen:
+            continue
+        count += 1
+        seen.add(s)
+        todo = [s]
+        while todo:
+            for w in nbrs[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    return count
+
+
+def test_cut_vertices_and_bridges_by_deletion():
+    graphs = list(exhaustive_connected(5))
+    rng = random.Random(41)
+    for _ in range(500):
+        n, p = rng.randint(1, 14), rng.random()
+        graphs.append(from_edge_list(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    assert any(not is_connected(g) for g in graphs)
+    for g in graphs:
+        edges = g.edges()
+        base = component_count(g.n, edges)
+        _, bridges, cut = blocks_and_bridges(g)
+        # deleting a cut vertex leaves more components; an isolated vertex takes one away
+        expected_cut = [v for v in range(g.n) if component_count(g.n, edges, v) > base - (g.adj[v] == 0)]
+        assert set_to_list(cut) == expected_cut, g.adj
+        expected_bridges = [e for e in edges if component_count(g.n, [f for f in edges if f != e]) > base]
+        assert sorted(bridges) == expected_bridges, g.adj
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_mask_connected_matches_components(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    g = from_edge_list(n, chosen)
+    x = data.draw(st.integers(0, g.full_mask))
+    expected = x != 0 and len(components(induced_subgraph(g, x)[0])) == 1
+    assert mask_connected(g.adj, x) == expected
+
+
+def test_raw_distance_matrix_matches_list_bfs():
+    rng = random.Random(5)
+    for _ in range(300):
+        n, p = rng.randint(1, 14), rng.random() * 0.6
+        g = from_edge_list(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        nbrs = [[w for w in range(n) if g.has_edge(v, w)] for v in range(n)]
+        for s in range(n):
+            dist = [-1] * n
+            dist[s] = 0
+            queue = deque([s])
+            while queue:
+                v = queue.popleft()
+                for w in nbrs[v]:
+                    if dist[w] < 0:
+                        dist[w] = dist[v] + 1
+                        queue.append(w)
+            assert list(raw_distance_matrix(g)[s]) == dist, g.adj
 
 
 def test_blocks_bowtie(bowtie):

@@ -8,7 +8,6 @@ from domlab.gadgets import (
     corona_k1,
     cycle,
     fig_example_not_perfect,
-    gap_gadget,
     h_prime_a,
     h_star,
     path,
@@ -16,7 +15,7 @@ from domlab.gadgets import (
     random_tree,
     star,
 )
-from domlab.graph import from_edge_list, mask_of, set_to_list
+from domlab.graph import from_edge_list
 from domlab.harness import exhaustive_connected, read_graph6_file
 from domlab.recognizers import (
     cactus_equality_characterization,

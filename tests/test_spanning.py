@@ -70,9 +70,9 @@ def hamiltonian_plus_chords(rng: random.Random, n: int, chords: int):
     return from_edge_list(n, edges)
 
 
-def brute_force_spectrum(g):
-    """n minus the leaf count over every (n-1)-edge subset that is a tree."""
-    values = []
+def brute_force_trees(g):
+    """Every (n-1)-edge subset of g that is a tree, as a tuple of edges."""
+    trees = []
     for subset in combinations(g.edges(), g.n - 1):
         root = list(range(g.n))
 
@@ -88,12 +88,37 @@ def brute_force_spectrum(g):
                 root[ru] = rv
                 merges += 1
         if merges == g.n - 1:
-            degree = [0] * g.n
-            for u, v in subset:
-                degree[u] += 1
-                degree[v] += 1
-            values.append(1 if g.n <= 2 else g.n - degree.count(1))
+            trees.append(subset)
+    return trees
+
+
+def brute_force_spectrum(g):
+    """n minus the leaf count over every (n-1)-edge subset that is a tree."""
+    values = []
+    for subset in brute_force_trees(g):
+        degree = [0] * g.n
+        for u, v in subset:
+            degree[u] += 1
+            degree[v] += 1
+        values.append(1 if g.n <= 2 else g.n - degree.count(1))
     return sorted(values)
+
+
+def test_spanning_trees_match_brute_force():
+    graphs = list(exhaustive_connected(5))
+    rng = random.Random(23)
+    graphs += [hamiltonian_plus_chords(rng, rng.randint(3, 8), rng.randint(0, 6)) for _ in range(30)]
+    for g in graphs:
+        found = [tuple(t.edges()) for t in spanning_trees(g)]
+        assert len(set(found)) == len(found)  # no tree twice
+        assert sorted(found) == sorted(brute_force_trees(g)), g.adj
+        assert len(found) == spanning._tree_count(g)
+
+
+def test_per_tree_check_is_live(monkeypatch):
+    monkeypatch.setattr(spanning, "mask_connected", lambda adj, x: False)
+    with pytest.raises(NotATree):
+        wcon_spectrum(cycle(5))
 
 
 def test_spanning_tree_cap_covers_wcon_spectrum(monkeypatch):

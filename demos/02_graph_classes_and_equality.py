@@ -39,6 +39,6 @@ for cls in total:
 
 desc = h_star()
 gc, gw = gamma_pair(desc.graph, cfg)
-perfect, _ = is_gc_gwcon_perfect(desc.graph, cfg)
+perfect, _ = is_gc_gwcon_perfect(desc.graph)
 print(f"\n9-vertex chordal obstruction: gamma_c={gc}, gamma_wcon={gw}, "
       f"perfect={perfect}")

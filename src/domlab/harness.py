@@ -378,7 +378,7 @@ def _cactus(g: Graph, cfg: SolverConfig, stats: dict) -> list:
 
 
 def _perfect_lemma(g: Graph, cfg: SolverConfig, stats: dict) -> list:
-    perfect, _ = is_gc_gwcon_perfect(g, cfg)
+    perfect, _ = is_gc_gwcon_perfect(g)
     if not perfect:
         return []
     stats["perfect"] += 1

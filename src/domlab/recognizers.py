@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import GirthTooSmall, NotACactus, TierExceeded
-from .domination import SolverConfig, gamma_pair
+from .domination import _weakly_convex
 from .gadgets import h_star
 from .graph import (
     ACYCLIC,
@@ -260,26 +260,37 @@ def is_h_star_free(g: Graph) -> bool:
 
 def _cycle_dfs(g: Graph, start: int, min_len: int, max_len: int):
     """Simple cycles through ``start`` with all other vertices > start,
-    one per rotation/reflection class (second vertex < last vertex)."""
+    one per rotation/reflection class (second vertex < last vertex).
+
+    Depth-first over paths from ``start``; ``todo[i]`` holds the neighbours
+    of ``path[i]`` not tried yet, lowest first. A path is tested for closing
+    as soon as its end is pushed, before the end's own extensions.
+    """
+    adj = g.adj
+    home = 1 << start
+    above = ~((home << 1) - 1)  # the vertices > start
+    shortest = max(3, min_len)
     path = [start]
+    todo = [adj[start] & above]
+    on_path = home
     results = []
-
-    def rec(on_path: int):
-        v = path[-1]
-        for w in iter_bits(g.adj[v]):
-            if w == start and len(path) >= 3:
-                if len(path) >= min_len and path[1] < path[-1]:
-                    results.append(tuple(path))
-                    if len(results) > CYCLE_ENUM_CAP:
-                        raise TierExceeded("cycle enumeration cap exceeded")
-                continue
-            if w <= start or on_path >> w & 1 or len(path) >= max_len:
-                continue
-            path.append(w)
-            rec(on_path | bit(w))
-            path.pop()
-
-    rec(bit(start))
+    while todo:
+        rest = todo[-1]
+        if not rest:
+            todo.pop()
+            on_path ^= 1 << path.pop()
+            continue
+        b = rest & -rest
+        todo[-1] = rest ^ b
+        w = b.bit_length() - 1
+        path.append(w)
+        on_path |= b
+        depth = len(path)
+        if adj[w] & home and depth >= shortest and path[1] < w:
+            results.append(tuple(path))
+            if len(results) > CYCLE_ENUM_CAP:
+                raise TierExceeded("cycle enumeration cap exceeded")
+        todo.append(adj[w] & above & ~on_path if depth < max_len else 0)
     return results
 
 
@@ -424,27 +435,101 @@ def lemma_perfect_conditions(g: Graph) -> tuple[bool, list]:
     return not violations, violations
 
 
-def is_gc_gwcon_perfect(
-    g: Graph, cfg: SolverConfig = SolverConfig()
-) -> tuple[bool, Optional[int]]:
+class _BallsInside(dict):
+    """``balls[a][d]``: the vertices within distance ``d`` of ``a`` inside
+    ``G[x]``, for ``a`` in the connected mask ``x``; a BFS inside ``x`` builds
+    the balls of ``a`` when they are first asked for."""
+
+    def __init__(self, adj: tuple[int, ...], x: int):
+        super().__init__()
+        self.adj, self.x = adj, x
+
+    def __missing__(self, a: int) -> list[int]:
+        adj, x = self.adj, self.x
+        seen = frontier = 1 << a
+        layers = [seen]
+        while seen != x:
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                reach |= adj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = reach & x & ~seen
+            seen |= frontier
+            layers.append(seen)
+        self[a] = layers
+        return layers
+
+
+def is_gc_gwcon_perfect(g: Graph) -> tuple[bool, Optional[int]]:
     """Whether every connected induced subgraph has equal domination numbers.
 
     Chordal hosts shortcut to the obstruction-freeness test, whose witness
-    is an induced copy of the obstruction; otherwise every connected
-    induced subgraph is solved, and the witness is the first unequal one.
-    A solve cut short by the node budget raises ``Inconclusive``.
+    is an induced copy of the obstruction. Any other host, up to
+    ``PERFECTNESS_TIER`` vertices, is decided by one exhaustive pass over
+    its vertex masks (``_perfectness_pass``), which makes no solver call and
+    has no node budget; its witness is the numerically smallest connected
+    mask ``X`` with gamma_c(G[X]) != gamma_wcon(G[X]).
     """
     if is_chordal(g):
         emb = contains_induced(g, h_star().graph)
         return (True, None) if emb is None else (False, mask_of(emb.values()))
     if g.n > PERFECTNESS_TIER:
         raise TierExceeded(f"perfectness tier is {PERFECTNESS_TIER} for non-chordal graphs")
-    for x in range(1, g.full_mask + 1):
-        if not mask_connected(g.adj, x):
-            continue
-        sub, _ = induced_subgraph(g, x)
-        gc, gw = gamma_pair(sub, cfg)
-        if gc != gw:
+    return _perfectness_pass(g)
+
+
+def _perfectness_pass(g: Graph) -> tuple[bool, Optional[int]]:
+    """Perfectness from gamma_c and gamma_wcon of every connected induced
+    subgraph, all found in one pass.
+
+    The pass takes the connected masks ``D``, smallest first. Every ``X``
+    with ``D <= X <= N[D]`` is connected and has ``D`` as a connected
+    dominating set, so the first ``D`` to reach ``X`` gives gamma_c(G[X]).
+    gamma_wcon(G[X]) is equal iff some ``D`` of that size is also weakly
+    convex in ``G[X]``. That holds for every ``D`` of at most three vertices:
+    its induced distances are at most 2, and two members at distance 2 in
+    ``G[D]`` are not adjacent, so they are at distance 2 in ``G[X]`` too.
+    The work is at most the sum over ``D`` of ``2^|N(D) - D|``, below 3^n.
+    """
+    adj = g.adj
+    n = g.n
+    size = 1 << n
+    closed = [a | 1 << v for v, a in enumerate(adj)]
+    hood = [0] * size  # hood[d]: N[d]
+    for d in range(1, size):
+        low = d & -d
+        hood[d] = hood[d ^ low] | closed[low.bit_length() - 1]
+    gamma_c = bytearray(size)  # 0 until X is reached, which happens iff X is connected
+    equal = bytearray(size)  # 1 once a minimum connected dominating set of G[X] is weakly convex
+    # layers[k]: the connected k-sets. Each X with k >= 2 is filed when first
+    # reached, before layer k is walked: X minus a leaf of a spanning tree of
+    # G[X] is a connected (k-1)-set that reaches it.
+    layers = [[] for _ in range(n + 1)]
+    layers[1] = [1 << v for v in range(n)]
+    for k in range(1, n + 1):
+        balls: dict[int, _BallsInside] = {}  # an X of gamma_c k is tested only in layer k
+        for d in layers[k]:
+            ext = hood[d] & ~d
+            sub = ext
+            while True:
+                x = d | sub
+                if not gamma_c[x]:
+                    gamma_c[x] = k
+                    if sub:
+                        layers[x.bit_count()].append(x)
+                    if k <= 3:
+                        equal[x] = 1
+                if gamma_c[x] == k and not equal[x]:
+                    inside = balls.get(x)
+                    if inside is None:
+                        inside = balls[x] = _BallsInside(adj, x)
+                    equal[x] = _weakly_convex(adj, inside, d)
+                if not sub:
+                    break
+                sub = (sub - 1) & ext
+    for x in range(1, size):
+        if gamma_c[x] and not equal[x]:
             return False, x
     return True, None
 

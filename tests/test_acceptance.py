@@ -122,7 +122,7 @@ def test_criterion_06_chordal_obstruction():
     gc = mins_c[0].bit_count()
     gw = mins_w[0].bit_count()
     ok = gc == 4 and gw == 5 and gc < gw
-    perfect, _ = is_gc_gwcon_perfect(hs, CFG)
+    perfect, _ = is_gc_gwcon_perfect(hs)
     ok &= not perfect
     ok &= contains_induced(hs, h_prime_a().graph) is not None
     report(6, "chordal obstruction graph: 4 < 5, not perfect", ok, time.perf_counter() - t0, 120)
@@ -134,7 +134,7 @@ def test_criterion_07_not_perfect_figure():
     g, lab = desc.graph, desc.labels
     holds, _ = lemma_perfect_conditions(g)
     ok = holds
-    perfect, _ = is_gc_gwcon_perfect(g, CFG)
+    perfect, _ = is_gc_gwcon_perfect(g)
     ok &= not perfect
     supports = mask_of(lab[x] for x in "cdefg")
     with_ab = supports | mask_of(lab[x] for x in "ab")

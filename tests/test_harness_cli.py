@@ -6,8 +6,7 @@ from collections import Counter
 import pytest
 
 from domlab.cli import main
-from domlab.domination import SolverConfig
-from domlab.errors import CorpusReadError, Inconclusive, UnknownTheoremId
+from domlab.errors import CorpusReadError, UnknownTheoremId
 from domlab.gadgets import (
     complete,
     corona_k1,
@@ -30,7 +29,7 @@ from domlab.harness import (
     read_graph6_file,
     run_verification,
 )
-from domlab.recognizers import is_distance_hereditary, is_gc_gwcon_perfect
+from domlab.recognizers import is_distance_hereditary
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +183,19 @@ def test_edge_bound_solves_each_graph_once(cfg, monkeypatch):
     assert report.ok and solves and max(solves.values()) == 1
 
 
-def test_perfectness_budget_truncation_raises():
-    with pytest.raises(Inconclusive):
-        is_gc_gwcon_perfect(fig_example_not_perfect().graph, SolverConfig(node_budget=1))
+def test_perfectness_ignores_node_budget(capsys, data_dir):
+    # perfectness is one exhaustive pass with no solver call, so no budget can cut it short
+    corpus = f"file:{data_dir / 'connected_n7.g6'}"
+    argv = ("verify", "--theorems", "S3.perfect-lemma", "--corpus", corpus)
+    reports = []
+    for budget in (("--budget", "1"), ()):
+        code, out, err = run_cli(capsys, *budget, *argv)
+        assert code == 0 and err == ""
+        *checks, summary = [json.loads(line) for line in out.splitlines()]
+        del summary["timing"]
+        reports.append((checks, summary))
+    assert reports[0] == reports[1]
+    assert reports[0][0][0]["status"] == "PASS"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
+import domlab.domination as domination
+from domlab.domination import gamma_pair
 from domlab.errors import NotACactus, GirthTooSmall
 from domlab.gadgets import (
     complete,
@@ -12,12 +15,14 @@ from domlab.gadgets import (
     h_star,
     path,
     random_cactus,
+    random_connected_graph,
     random_tree,
     star,
 )
-from domlab.graph import from_edge_list
+from domlab.graph import from_edge_list, graph6_decode, induced_subgraph, mask_connected
 from domlab.harness import exhaustive_connected, read_graph6_file
 from domlab.recognizers import (
+    _perfectness_pass,
     cactus_equality_characterization,
     classify,
     contains_induced,
@@ -168,17 +173,85 @@ def test_lemma_perfect_conditions():
     assert holds
 
 
-def test_is_gc_gwcon_perfect(cfg):
+def test_is_gc_gwcon_perfect():
     hs = h_star().graph
-    perfect, witness = is_gc_gwcon_perfect(hs, cfg)
+    perfect, witness = is_gc_gwcon_perfect(hs)
     assert not perfect and witness == hs.full_mask
-    perfect, _ = is_gc_gwcon_perfect(random_tree(10, 4), cfg)
+    perfect, _ = is_gc_gwcon_perfect(random_tree(10, 4))
     assert perfect
-    perfect, witness = is_gc_gwcon_perfect(fig_example_not_perfect().graph, cfg)
+    perfect, witness = is_gc_gwcon_perfect(fig_example_not_perfect().graph)
     assert not perfect and witness is not None
 
 
-def test_chordal_supergraphs_of_obstruction_not_perfect(cfg):
+def perfect_by_solves(g, cfg):
+    """Reference: one solve pair per connected induced subgraph, smallest mask first."""
+    for x in range(1, g.full_mask + 1):
+        if mask_connected(g.adj, x):
+            gc, gw = gamma_pair(induced_subgraph(g, x)[0], cfg)
+            if gc != gw:
+                return False, x
+    return True, None
+
+
+def seeded_non_chordal(count):
+    graphs, seed = [], 0
+    while len(graphs) < count:
+        g = random_connected_graph(9 + seed % 4, seed)
+        seed += 1
+        if not is_chordal(g):
+            graphs.append(g)
+    return graphs
+
+
+def test_perfectness_pass_matches_solves(cfg, data_dir):
+    # chordal hosts included: the pass is run directly, past the H* shortcut
+    graphs = list(exhaustive_connected(5))
+    for name in ("connected_n7.g6", "connected_n8.g6"):
+        graphs += list(read_graph6_file(str(data_dir / name)))
+    graphs += [h_star().graph, path(12), cycle(12)]  # gamma_c(C_12) = 10: deep layers
+    for g in graphs:
+        assert _perfectness_pass(g) == perfect_by_solves(g, cfg), g
+    fig = fig_example_not_perfect().graph
+    assert _perfectness_pass(fig) == perfect_by_solves(fig, cfg) == (False, 2815)
+    seeded = seeded_non_chordal(30)
+    assert {g.n for g in seeded} == {9, 10, 11, 12}
+    verdicts = [perfect_by_solves(g, cfg) for g in seeded]
+    assert [is_gc_gwcon_perfect(g) for g in seeded] == verdicts
+    assert any(perfect for perfect, _ in verdicts) and not all(perfect for perfect, _ in verdicts)
+
+
+def test_perfectness_makes_no_solver_call(monkeypatch):
+    def no_solve(g, cfg):
+        raise AssertionError("perfectness called a solver")
+
+    g = graph6_decode("Gxe?`?")
+    assert g.n == 8 and not is_chordal(g)
+    gamma_pair.cache_clear()
+    monkeypatch.setattr(domination, "minimum_connected_dominating", no_solve)
+    monkeypatch.setattr(domination, "minimum_wcon_dominating", no_solve)
+    assert is_gc_gwcon_perfect(g) == (True, None)
+
+
+# The four n = 8 classes (Gxe?`? is a labeling of GHP@Eo) that are perfect yet
+# violate the lemma's literal reading, "every (not necessarily induced)
+# 5/6-cycle". Each fails clauses (1) and (2) on one 5-cycle with a chord, so
+# the induced-cycles reading holds on all of them.
+@pytest.mark.parametrize("g6,cyc", [
+    ("GHP@Eo", (1, 2, 3, 7, 4)),
+    ("GHP@Fo", (1, 2, 3, 7, 4)),
+    ("GHDADg", (1, 2, 3, 7, 5)),
+    ("GHDAFg", (1, 2, 3, 7, 5)),
+    ("Gxe?`?", (0, 1, 2, 3, 4)),
+])
+def test_lemma_literal_reading_fails_on_perfect_n8_graphs(g6, cyc, cfg):
+    g = graph6_decode(g6)
+    assert is_gc_gwcon_perfect(g) == perfect_by_solves(g, cfg) == (True, None)
+    assert lemma_perfect_conditions(g) == (False, [("cycle-conditions", cyc)])
+    edges_inside = sum(g.has_edge(a, b) for a, b in combinations(cyc, 2))
+    assert edges_inside > len(cyc)  # the 5-cycle has a chord: not induced
+
+
+def test_chordal_supergraphs_of_obstruction_not_perfect():
     # pendant growth on the chord vertex keeps chordality and the obstruction
     hs = h_star()
     base = hs.graph
@@ -188,7 +261,7 @@ def test_chordal_supergraphs_of_obstruction_not_perfect(cfg):
         g = from_edge_list(n, edges)
         assert is_chordal(g)
         assert contains_induced(g, base) is not None
-        perfect, witness = is_gc_gwcon_perfect(g, cfg)
+        perfect, witness = is_gc_gwcon_perfect(g)
         assert not perfect and witness is not None
 
 

@@ -46,7 +46,7 @@ class SolverConfig:
             raise ParameterOutOfRange(f"node budget must be at least 1, got {self.node_budget}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DominationCertificate:
     set: int
     kind: Kind
@@ -181,7 +181,9 @@ class _BudgetSpent(Exception):
     """Unwinds the search once the node budget is used up."""
 
 
-def _solve_minimum(g: Graph, kind: Kind, cfg: SolverConfig) -> DominationCertificate:
+def _solve_minimum(
+    g: Graph, kind: Kind, cfg: SolverConfig, floor: int = 1
+) -> DominationCertificate:
     """Size-layered search that only ever builds connected vertex sets.
 
     Layer ``k`` enumerates each connected ``k``-set that holds every forced
@@ -192,6 +194,11 @@ def _solve_minimum(g: Graph, kind: Kind, cfg: SolverConfig) -> DominationCertifi
     closed neighbourhood ``N[S]`` is kept as the set grows, so a connected
     set dominates exactly when it covers every vertex.  A layer is searched
     in full, so the certificate is the smallest bit mask of all minimum sets.
+
+    The first layer is the largest of ``floor``, the number of forced
+    vertices and diam - 1, each a lower bound on the minimum size; the
+    caller vouches for ``floor``. ``nodes_expanded`` counts the nodes of the
+    layers searched here.
     """
     require_connected(g)
     n = g.n
@@ -253,7 +260,7 @@ def _solve_minimum(g: Graph, kind: Kind, cfg: SolverConfig) -> DominationCertifi
     for v in reversed(range(n)):
         reach[v] = reach[v + 1] if excluded >> v & 1 else reach[v + 1] | closed[v]
     diam = max(map(max, raw_distance_matrix(g)))
-    for k in range(max(1, forced.bit_count(), diam - 1), n + 1):
+    for k in range(max(floor, forced.bit_count(), diam - 1), n + 1):
         try:
             for root in roots:
                 r = root.bit_length() - 1
@@ -271,25 +278,50 @@ def _solve_minimum(g: Graph, kind: Kind, cfg: SolverConfig) -> DominationCertifi
     raise AssertionError("exact search exhausted without a feasible set")
 
 
+@lru_cache(maxsize=16)
+def _connected_certificate(g: Graph, cfg: SolverConfig) -> DominationCertificate:
+    """The gamma_c search of ``g``, shared by both solvers. Always called
+    with both arguments: ``lru_cache`` keys ``f(g)`` and ``f(g, cfg)`` apart."""
+    return _solve_minimum(g, Kind.CONNECTED, cfg)
+
+
 def minimum_connected_dominating(
     g: Graph, cfg: SolverConfig = SolverConfig()
 ) -> DominationCertificate:
-    return _solve_minimum(g, Kind.CONNECTED, cfg)
+    return _connected_certificate(g, cfg)
 
 
 def minimum_wcon_dominating(
     g: Graph, cfg: SolverConfig = SolverConfig()
 ) -> DominationCertificate:
-    return _solve_minimum(g, Kind.WEAKLY_CONVEX, cfg)
+    """Starts from the gamma_c certificate of ``g``: a weakly convex set
+    induces an isometric, so connected, subgraph, so gamma_c <= gamma_wcon.
+
+    If that certificate is optimal and weakly convex, it is also the
+    smallest weakly convex dominating mask of size gamma_c and is returned
+    with 0 nodes. Otherwise the search starts at layer gamma_c, not
+    gamma_c + 1, since another set of that size may be weakly convex; its
+    ``nodes_expanded`` counts only its own layers. A gamma_c search that the
+    budget cut short gives no lower bound, so the search then starts where
+    the gamma_c search did. Each search has its own node budget.
+    """
+    c = _connected_certificate(g, cfg)
+    if not c.optimal:
+        return _solve_minimum(g, Kind.WEAKLY_CONVEX, cfg)
+    if _weakly_convex(g.adj, _distance_balls(g), c.set):
+        return DominationCertificate(c.set, Kind.WEAKLY_CONVEX, c.value, True, 0)
+    return _solve_minimum(g, Kind.WEAKLY_CONVEX, cfg, floor=c.value)
 
 
 @lru_cache(maxsize=1 << 18)
 def gamma_pair(g: Graph, cfg: SolverConfig) -> tuple[int, int]:
     """(gamma_c, gamma_wcon), each read off an optimal certificate.
 
-    Cached, since labeled subgraphs repeat heavily across corpora, sweeps
-    and perfectness tests. Raises ``Inconclusive`` when the node budget cut
-    a search short; a raised call is not cached. The solvers are looked up
+    Cached, since labeled subgraphs repeat heavily across corpora and
+    sweeps. The gamma_wcon solve reads the gamma_c certificate the first
+    solve just left in ``_connected_certificate``'s cache, so one gamma_c
+    search serves both. Raises ``Inconclusive`` when the node budget cut a
+    search short; a raised call is not cached. The solvers are looked up
     when called, so a wrapper put on this module sees every solve.
     """
     pair = minimum_connected_dominating(g, cfg), minimum_wcon_dominating(g, cfg)

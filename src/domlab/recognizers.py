@@ -406,15 +406,18 @@ def lemma_perfect_conditions(g: Graph) -> tuple[bool, list]:
     long_cycle = has_induced_cycle_at_least(g, 7)
     if long_cycle is not None:
         violations.append(("induced-long-cycle", long_cycle.vertices))
+    cut_of_hood: dict[int, int] = {}  # N[V(C)] -> cut vertices of H, per call
     for wit in enumerate_cycles(g, (5, 6)):
         cyc = wit.vertices
         p = len(cyc)
         hood = 0
         for v in cyc:
             hood |= bit(v) | g.adj[v]
-        sub, old = induced_subgraph(g, hood)
-        _, _, cut_sub = blocks_and_bridges(sub)
-        cut_h = mask_of(old[v] for v in iter_bits(cut_sub))
+        cut_h = cut_of_hood.get(hood)
+        if cut_h is None:
+            sub, old = induced_subgraph(g, hood)
+            _, _, cut_sub = blocks_and_bridges(sub)
+            cut_h = cut_of_hood[hood] = mask_of(old[v] for v in iter_bits(cut_sub))
         if any(
             not cut_h >> cyc[i] & 1 and not cut_h >> cyc[(i + 1) % p] & 1
             for i in range(p)

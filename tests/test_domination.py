@@ -1,7 +1,10 @@
+import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
+from domlab import domination
 from domlab.errors import Disconnected, EmptySet, Inconclusive, ParameterOutOfRange, TierExceeded
 from domlab.domination import (
     Kind,
@@ -26,7 +29,7 @@ from domlab.gadgets import (
     random_tree,
     star,
 )
-from domlab.graph import bit, from_edge_list, induced_subgraph, mask_connected, mask_of, raw_distance_matrix
+from domlab.graph import bit, from_edge_list, graph6_decode, induced_subgraph, mask_connected, mask_of, raw_distance_matrix
 from domlab.harness import exhaustive_connected
 from domlab.spanning import wcon_spectrum
 
@@ -195,17 +198,78 @@ def test_solver_agrees_with_oracle_random(cfg):
         n = rng.randint(6, 11)
         graphs.append(hamiltonian_plus_chords(rng, n, rng.randint(0, n)))
     for g in graphs:
+        oracle = {kind: all_minimum_sets_oracle(g, kind) for kind in Kind}
+        # gamma_wcon solved first, with no gamma_c certificate in the cache
+        domination._connected_certificate.cache_clear()
+        assert minimum_wcon_dominating(g, cfg).set == min(oracle[Kind.WEAKLY_CONVEX])
+        domination._connected_certificate.cache_clear()
         for kind, solver, predicate in (
             (Kind.CONNECTED, minimum_connected_dominating, is_connected_dominating),
             (Kind.WEAKLY_CONVEX, minimum_wcon_dominating, is_wcon_dominating),
         ):
-            mins = all_minimum_sets_oracle(g, kind)
+            mins = oracle[kind]
             cert = solver(g, cfg)
             assert cert.value == mins[0].bit_count()
             assert cert.set in mins
             # deterministic tie-break: smallest bit mask
             assert cert.set == min(mins)
             assert predicate(g, cert.set)
+
+
+@pytest.mark.parametrize(
+    "g6, wcon_set, wcon_value, connected_set",
+    [
+        ("FrGGG", 53, 4, 53),  # the gamma_c certificate is weakly convex
+        ("GkOMGG", 99, 4, 51),  # another set of size gamma_c is
+        ("GqCOKG", 171, 5, 43),  # a gap: gamma_c = 4 < gamma_wcon = 5
+    ],
+)
+def test_wcon_certificate_from_each_path(cfg, g6, wcon_set, wcon_value, connected_set):
+    g = graph6_decode(g6)
+    c = minimum_connected_dominating(g, cfg)
+    w = minimum_wcon_dominating(g, cfg)
+    assert (c.set, c.value) == (connected_set, 4)
+    assert (w.set, w.value, w.optimal) == (wcon_set, wcon_value, True)
+    assert w.set == min(all_minimum_sets_oracle(g, Kind.WEAKLY_CONVEX))
+    assert (w.nodes_expanded == 0) == (w.set == c.set)
+
+
+def test_wcon_search_keeps_its_own_budget():
+    g = gap_gadget(8).graph
+    cfg = SolverConfig(node_budget=100)
+    c = minimum_connected_dominating(g, cfg)
+    assert c.optimal and c.nodes_expanded == 12
+    w = minimum_wcon_dominating(g, cfg)
+    assert not w.optimal and is_wcon_dominating(g, w.set)
+    assert w.nodes_expanded <= cfg.node_budget + 1
+
+
+@pytest.mark.parametrize("g6, wcon_searches", [("GkOMGG", 1), ("FrGGG", 0)])
+def test_one_connected_search_serves_both_solvers(monkeypatch, g6, wcon_searches):
+    searches = Counter()
+    solve = domination._solve_minimum
+
+    def counting(g, kind, *args, **kwargs):
+        searches[kind] += 1
+        return solve(g, kind, *args, **kwargs)
+
+    monkeypatch.setattr(domination, "_solve_minimum", counting)
+    gamma_pair.cache_clear()
+    domination._connected_certificate.cache_clear()
+    g = graph6_decode(g6)
+    minimum_connected_dominating(g)
+    minimum_wcon_dominating(g)
+    assert searches == Counter({Kind.CONNECTED: 1, Kind.WEAKLY_CONVEX: wcon_searches})
+    # the default cfg and an equal one share the gamma_c certificate; only
+    # the gamma_c search is kept, so gamma_pair repeats the gamma_wcon one
+    gamma_pair(g, SolverConfig())
+    assert searches == Counter({Kind.CONNECTED: 1, Kind.WEAKLY_CONVEX: 2 * wcon_searches})
+
+
+def test_certificate_is_frozen(cfg):
+    cert = minimum_connected_dominating(cycle(5), cfg)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.value = 0
 
 
 def test_gamma_c_never_exceeds_gamma_wcon(cfg):

@@ -19,7 +19,7 @@ from domlab.gadgets import (
     random_tree,
     star,
 )
-from domlab.graph import from_edge_list, graph6_decode, induced_subgraph, mask_connected
+from domlab.graph import bit, from_edge_list, graph6_decode, induced_subgraph, mask_connected, mask_of
 from domlab.harness import exhaustive_connected, read_graph6_file
 from domlab.recognizers import (
     _perfectness_pass,
@@ -171,6 +171,40 @@ def test_lemma_perfect_conditions():
     assert not holds and violations[0][0] == "induced-long-cycle"
     holds, _ = lemma_perfect_conditions(complete(4))
     assert holds
+
+
+def cycle_violations_by_deletion(g):
+    """Reference for the 5/6-cycle part of ``lemma_perfect_conditions``: the
+    cut vertices of H = G[N[V(C)]] found afresh for every cycle, as the
+    vertices whose deletion disconnects H."""
+    out = []
+    for wit in enumerate_cycles(g, (5, 6)):
+        cyc, on_c = wit.vertices, mask_of(wit.vertices)
+        hood = on_c
+        for v in cyc:
+            hood |= g.adj[v]
+        cut = mask_of(v for v in range(g.n) if hood >> v & 1 and not mask_connected(g.adj, hood & ~bit(v)))
+        p = len(cyc)
+        if any(not cut >> cyc[i] & 1 and not cut >> cyc[(i + 1) % p] & 1 for i in range(p)):
+            continue
+        if all(not cut >> v & 1 or g.has_edge(cyc[i - 1], cyc[(i + 1) % p])
+               or g.adj[cyc[i - 1]] & g.adj[cyc[(i + 1) % p]] & on_c & ~bit(v)
+               for i, v in enumerate(cyc)):
+            continue
+        out.append(("cycle-conditions", cyc))
+    return out
+
+
+def test_lemma_cycle_conditions_match_per_cycle_reference(data_dir):
+    graphs = list(read_graph6_file(str(data_dir / "connected_n8.g6")))
+    graphs += [random_connected_graph(8 + seed % 4, seed) for seed in range(20)]
+    violated = 0
+    for g in graphs:
+        _, violations = lemma_perfect_conditions(g)
+        cycle_violations = [v for v in violations if v[0] == "cycle-conditions"]
+        assert cycle_violations == cycle_violations_by_deletion(g), g
+        violated += bool(cycle_violations)
+    assert 0 < violated < len(graphs)
 
 
 def test_is_gc_gwcon_perfect():

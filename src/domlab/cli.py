@@ -45,7 +45,8 @@ def _read_input(args) -> Graph:
     if args.input == "-":
         text = sys.stdin.read()
     else:
-        with open(args.input) as fh:
+        # as stdin is read: undecodable bytes reach the parser, which refuses them
+        with open(args.input, errors="surrogateescape") as fh:
             text = fh.read()
     if args.format == "graph6":
         for line in text.splitlines():

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, combinations
-from operator import or_
+from itertools import combinations
 
 from .errors import Disconnected, EmptySet, Inconclusive, ParameterOutOfRange, TierExceeded
 from .graph import (
@@ -88,22 +87,41 @@ def is_connected_dominating(g: Graph, x: int) -> bool:
     return is_dominating(g, x) and mask_connected(g.adj, x)
 
 
+class _Balls(dict):
+    """``balls[a][d]``: the vertices within distance ``d`` of ``a`` inside
+    ``G[x]``, for ``d`` from 0 up to the eccentricity of ``a`` there (the
+    last ball is all of ``x``). ``x`` must be connected: a BFS inside ``x``
+    builds the balls of ``a`` the first time they are asked for, and runs
+    until it has reached all of ``x``."""
+
+    def __init__(self, adj: tuple[int, ...], x: int):
+        self.adj, self.x = adj, x
+
+    def __missing__(self, a: int) -> list[int]:
+        adj, x = self.adj, self.x
+        seen = frontier = 1 << a
+        layers = [seen]
+        while seen != x:
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                reach |= adj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = reach & x & ~seen
+            seen |= frontier
+            layers.append(seen)
+        self[a] = layers
+        return layers
+
+
 @lru_cache(maxsize=16)
-def _distance_balls(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """``balls[a][d]``: the vertices within host distance ``d`` of ``a``, for
-    ``d`` from 0 up to the eccentricity of ``a`` (the last ball is every
-    vertex) in a connected graph. Cached for the few graphs in hand, since
-    ``is_weakly_convex`` is called set after set on one graph."""
-    balls = []
-    for row in raw_distance_matrix(g):
-        layers = [0] * (max(row) + 1)
-        for v, d in enumerate(row):
-            layers[d] |= 1 << v
-        balls.append(tuple(accumulate(layers, or_)))
-    return tuple(balls)
+def _distance_balls(g: Graph) -> _Balls:
+    """The host balls of a connected graph. Cached for the few graphs in
+    hand, since ``is_weakly_convex`` is called set after set on one graph."""
+    return _Balls(g.adj, g.full_mask)
 
 
-def _weakly_convex(adj: tuple[int, ...], balls: tuple[tuple[int, ...], ...], x: int) -> bool:
+def _weakly_convex(adj: tuple[int, ...], balls: _Balls, x: int) -> bool:
     """True iff ``G[x]`` keeps the host distance of every pair of ``x``.
 
     Induced distances never shrink, so a BFS inside ``x`` from ``a`` has

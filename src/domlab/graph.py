@@ -299,7 +299,7 @@ def girth(g: Graph):
 
 
 def is_connected(g: Graph) -> bool:
-    return raw_distance_matrix(g)[0].count(-1) == 0 if g.n else False
+    return mask_connected(g.adj, g.full_mask)
 
 
 def is_complete(g: Graph) -> bool:

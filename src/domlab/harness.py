@@ -179,7 +179,8 @@ def read_graph6_file(path: str) -> Iterator[Graph]:
     """The graphs of a graph6 file, which must all be connected: every
     theorem speaks about connected graphs only."""
     try:
-        with open(path) as fh:
+        # undecodable bytes reach the parser, which refuses them with PATH:LINE
+        with open(path, errors="surrogateescape") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
                 if not line or line == ">>graph6<<":
@@ -337,8 +338,6 @@ def _diameter_lemma(g: Graph, cfg: SolverConfig, stats: dict) -> list:
     hit_outside = hit_all = False
     for d in all_minimum_sets_oracle(g, Kind.CONNECTED):
         dm = diameter(induced_subgraph(g, d)[0])
-        if not isinstance(dm, int):
-            continue
         if dm <= 2:
             hit_outside = hit_all = True
             break

@@ -12,7 +12,7 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import GirthTooSmall, NotACactus, TierExceeded
-from .domination import _weakly_convex
+from .domination import _Balls, _weakly_convex
 from .gadgets import h_star
 from .graph import (
     ACYCLIC,
@@ -325,51 +325,24 @@ def has_induced_cycle_at_least(g: Graph, length: int) -> Optional[CycleWitness]:
 # characterizations
 
 
-def _cactus_cycles(g: Graph) -> list[tuple[int, ...]]:
-    """Cycle vertex orders of a cactus: blocks with >= 3 vertices."""
-    blocks, _, _ = blocks_and_bridges(g)
-    cycles = []
-    for b in blocks:
-        if b.bit_count() < 3:
-            continue
-        # walk the cycle: each vertex has exactly two neighbours inside b
-        start = (b & -b).bit_length() - 1
-        order = [start]
-        prev = -1
-        cur = start
-        while True:
-            nxts = [w for w in iter_bits(g.adj[cur] & b) if w != prev]
-            nxt = min(nxts) if len(order) == 1 else nxts[0]
-            if nxt == start:
-                break
-            order.append(nxt)
-            prev, cur = cur, nxt
-        cycles.append(tuple(order))
-    return cycles
-
-
 def cactus_equality_characterization(g: Graph) -> tuple[bool, list]:
     """Degree-pattern test predicting gamma_c == gamma_wcon on a cactus.
 
     Every 5- or 6-cycle must have all vertices of degree >= 3 or two
     adjacent degree-2 vertices; every cycle of length >= 7 must have all
-    vertices of degree >= 3.
+    vertices of degree >= 3. The cycles are the blocks with at least three
+    vertices, each an induced cycle, so two of its vertices are adjacent
+    exactly when they are consecutive on it. A violation is the vertex
+    tuple of its block, in increasing order.
     """
     if not is_cactus(g):
         raise NotACactus("characterization applies to cacti only")
     violations = []
-    for cyc in _cactus_cycles(g):
-        p = len(cyc)
-        degs = [g.degree(v) for v in cyc]
-        if p in (5, 6):
-            if min(degs) >= 3:
-                continue
-            if any(degs[i] == 2 and degs[(i + 1) % p] == 2 for i in range(p)):
-                continue
-            violations.append(cyc)
-        elif p >= 7:
-            if min(degs) < 3:
-                violations.append(cyc)
+    for b in blocks_and_bridges(g)[0]:
+        p = b.bit_count()
+        deg2 = mask_of(v for v in iter_bits(b) if g.degree(v) == 2)
+        if p >= 5 and deg2 and (p >= 7 or not any(g.adj[v] & deg2 for v in iter_bits(deg2))):
+            violations.append(tuple(iter_bits(b)))
     return not violations, violations
 
 
@@ -438,32 +411,6 @@ def lemma_perfect_conditions(g: Graph) -> tuple[bool, list]:
     return not violations, violations
 
 
-class _BallsInside(dict):
-    """``balls[a][d]``: the vertices within distance ``d`` of ``a`` inside
-    ``G[x]``, for ``a`` in the connected mask ``x``; a BFS inside ``x`` builds
-    the balls of ``a`` when they are first asked for."""
-
-    def __init__(self, adj: tuple[int, ...], x: int):
-        super().__init__()
-        self.adj, self.x = adj, x
-
-    def __missing__(self, a: int) -> list[int]:
-        adj, x = self.adj, self.x
-        seen = frontier = 1 << a
-        layers = [seen]
-        while seen != x:
-            reach = 0
-            while frontier:
-                b = frontier & -frontier
-                reach |= adj[b.bit_length() - 1]
-                frontier ^= b
-            frontier = reach & x & ~seen
-            seen |= frontier
-            layers.append(seen)
-        self[a] = layers
-        return layers
-
-
 def is_gc_gwcon_perfect(g: Graph) -> tuple[bool, Optional[int]]:
     """Whether every connected induced subgraph has equal domination numbers.
 
@@ -511,7 +458,7 @@ def _perfectness_pass(g: Graph) -> tuple[bool, Optional[int]]:
     layers = [[] for _ in range(n + 1)]
     layers[1] = [1 << v for v in range(n)]
     for k in range(1, n + 1):
-        balls: dict[int, _BallsInside] = {}  # an X of gamma_c k is tested only in layer k
+        balls: dict[int, _Balls] = {}  # an X of gamma_c k is tested only in layer k
         for d in layers[k]:
             ext = hood[d] & ~d
             sub = ext
@@ -526,7 +473,7 @@ def _perfectness_pass(g: Graph) -> tuple[bool, Optional[int]]:
                 if gamma_c[x] == k and not equal[x]:
                     inside = balls.get(x)
                     if inside is None:
-                        inside = balls[x] = _BallsInside(adj, x)
+                        inside = balls[x] = _Balls(adj, x)
                     equal[x] = _weakly_convex(adj, inside, d)
                 if not sub:
                     break

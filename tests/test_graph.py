@@ -38,7 +38,7 @@ from domlab.graph import (
     to_dot,
     vertex_roles,
 )
-from domlab.harness import exhaustive_connected
+from domlab.harness import exhaustive_connected, read_graph6_file
 
 
 def test_from_edge_list_triangle():
@@ -362,6 +362,14 @@ def test_is_connected_components():
     assert not is_connected(g)
     assert components(g) == [1, 2]
     assert is_connected(gap_gadget(6).graph)
+
+
+def test_connectivity_builds_no_distance_matrix(data_dir):
+    raw_distance_matrix.cache_clear()
+    assert sum(1 for _ in exhaustive_connected(5)) == 772
+    assert raw_distance_matrix.cache_info().currsize == 0
+    assert sum(1 for _ in read_graph6_file(str(data_dir / "connected_n7.g6"))) > 0
+    assert raw_distance_matrix.cache_info().currsize == 0
 
 
 def test_edge_list_text_roundtrip():

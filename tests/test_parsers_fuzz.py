@@ -1,17 +1,19 @@
-"""Arbitrary text into the three input parsers: only ``DomlabError`` may
-escape, and the CLI turns each such error into exit 2 with a message."""
+"""Arbitrary text into the three input parsers, and arbitrary bytes into
+the two input files: only ``DomlabError`` may escape, and the CLI turns
+each such error into exit 2 with a message."""
 
+import argparse
 import contextlib
 import io
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from domlab.cli import main
+from domlab.cli import _read_input, main
 from domlab.errors import DomlabError
 from domlab.graph import graph6_decode, parse_edge_list
-from domlab.harness import CorpusSpec
+from domlab.harness import CorpusSpec, read_graph6_file
 
 # near-miss alphabets reach past the first check of each parser
 GRAPH6_TEXT = st.one_of(
@@ -80,3 +82,34 @@ def test_cli_malformed_input_exits_2(data):
     code, out, err = run_cli(argv, stdin)
     assert code == 2 and out == "", (argv, text)
     assert err.startswith("error: ") and "Traceback" not in err, (argv, text)
+
+
+# route -> (argv for a file at PATH, the read that route makes of it)
+FILE_ROUTES = {
+    "corpus": (lambda p: ["verify", f"--corpus=file:{p}"], lambda p: list(read_graph6_file(p))),
+    "graph6": (lambda p: ["solve", "--input", p],
+               lambda p: _read_input(argparse.Namespace(input=p, format="graph6"))),
+    "edgelist": (lambda p: ["solve", "--format", "edgelist", "--input", p],
+                 lambda p: _read_input(argparse.Namespace(input=p, format="edgelist"))),
+}
+
+
+@pytest.fixture(scope="module")
+def byte_file(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("bytes") / "input.txt")
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=st.binary(max_size=40), route=st.sampled_from(sorted(FILE_ROUTES)))
+@example(raw=b"\xff\xfe\n", route="corpus")
+@example(raw=b"\xff\xfe\n", route="graph6")
+@example(raw=b"\xff\xfe\n", route="edgelist")
+def test_cli_malformed_file_bytes_exit_2(byte_file, raw, route):
+    """Any bytes, UTF-8 or not, reach the parsers, as they do from stdin."""
+    with open(byte_file, "wb") as fh:
+        fh.write(raw)
+    argv, read = FILE_ROUTES[route]
+    assume(raises_only_domlab_error(read, byte_file))
+    code, out, err = run_cli(argv(byte_file))
+    assert code == 2 and out == "", (route, raw)
+    assert err.startswith("error: ") and "Traceback" not in err, (route, raw)

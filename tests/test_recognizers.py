@@ -139,7 +139,7 @@ def test_enumerate_cycles_counts_k5():
     assert len(enumerate_cycles(complete(5), (5,))) == 12
 
 
-def test_cactus_characterization():
+def test_cactus_characterization(cfg):
     predicted, _ = cactus_equality_characterization(cycle(5))
     assert predicted
     predicted, violations = cactus_equality_characterization(cycle(7))
@@ -148,6 +148,20 @@ def test_cactus_characterization():
     assert predicted
     with pytest.raises(NotACactus):
         cactus_equality_characterization(complete(4))
+    # a 6-cycle 0-3-1-4-2-5 with pendants on 0, 1, 2: no two degree-2 vertices adjacent
+    ring = [0, 3, 1, 4, 2, 5]
+    g = from_edge_list(9, [(ring[i], ring[i - 1]) for i in range(6)] + [(0, 6), (1, 7), (2, 8)])
+    assert cactus_equality_characterization(g) == (False, [(0, 1, 2, 3, 4, 5)])
+    gc, gw = gamma_pair(g, cfg)
+    assert gc != gw
+    # a 5-cycle with one pendant keeps two adjacent degree-2 vertices
+    g = from_edge_list(6, [(i, (i + 1) % 5) for i in range(5)] + [(0, 5)])
+    assert cactus_equality_characterization(g) == (True, [])
+    # a good 5-cycle and a 7-cycle 0-7-5-9-6-10-8 sharing the cut vertex 0
+    ring = [0, 7, 5, 9, 6, 10, 8]
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(ring[i], ring[i - 1]) for i in range(7)]
+    g = from_edge_list(11, edges)
+    assert cactus_equality_characterization(g) == (False, [(0, 5, 6, 7, 8, 9, 10)])
 
 
 def test_girth7_analysis():

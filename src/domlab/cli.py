@@ -29,6 +29,7 @@ from .gadgets import (
     star,
 )
 from .graph import (
+    GRAPH6_HEADER,
     Graph,
     format_edge_list,
     graph6_decode,
@@ -51,7 +52,7 @@ def _read_input(args) -> Graph:
     if args.format == "graph6":
         for line in text.splitlines():
             line = line.strip()
-            if line and line != ">>graph6<<":
+            if line and line != GRAPH6_HEADER:
                 return graph6_decode(line)
         raise DomlabError("no graph6 line found in input")
     return parse_edge_list(text)

@@ -123,7 +123,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def graph6_encode(g: Graph) -> str:
     """Encode ``g`` in the standard graph6 line format."""
     if g.n > 62:
-        chunks = [126, (g.n >> 12) & 63, (g.n >> 6) & 63, g.n & 63]
+        chunks = [63, (g.n >> 12) & 63, (g.n >> 6) & 63, g.n & 63]
     else:
         chunks = [g.n]
     bits = []

@@ -29,6 +29,7 @@ from .gadgets import (
 )
 from .graph import (
     ACYCLIC,
+    GRAPH6_HEADER,
     Graph,
     diameter,
     from_edge_list,
@@ -183,7 +184,7 @@ def read_graph6_file(path: str) -> Iterator[Graph]:
         with open(path, errors="surrogateescape") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
-                if not line or line == ">>graph6<<":
+                if not line or line == GRAPH6_HEADER:
                     continue
                 try:
                     g = graph6_decode(line)

@@ -57,12 +57,6 @@ class ClassReport:
         return out
 
 
-@dataclass(frozen=True)
-class CycleWitness:
-    vertices: tuple[int, ...]
-    induced: bool
-
-
 # ---------------------------------------------------------------------------
 # basic shape predicates
 
@@ -97,16 +91,22 @@ def _edges_inside(g: Graph, mask: int) -> int:
 # class recognizers
 
 
-def is_cactus(g: Graph) -> bool:
-    """Every block is a single edge or an induced cycle."""
+def _cactus_blocks(g: Graph) -> Optional[list[int]]:
+    """The blocks of ``g`` if every block is a single edge or an induced
+    cycle, else None."""
     require_connected(g)
     blocks, _, _ = blocks_and_bridges(g)
     for b in blocks:
         k = b.bit_count()
         edges = _edges_inside(g, b)
         if not (k == 2 and edges == 1) and edges != k:
-            return False
-    return True
+            return None
+    return blocks
+
+
+def is_cactus(g: Graph) -> bool:
+    """Every block is a single edge or an induced cycle."""
+    return _cactus_blocks(g) is not None
 
 
 def is_block_graph(g: Graph) -> bool:
@@ -258,13 +258,15 @@ def is_h_star_free(g: Graph) -> bool:
 # cycle enumeration
 
 
-def _cycle_dfs(g: Graph, start: int, min_len: int, max_len: int):
+def _cycle_dfs(g: Graph, start: int, min_len: int, max_len: int, induced: bool):
     """Simple cycles through ``start`` with all other vertices > start,
     one per rotation/reflection class (second vertex < last vertex).
 
     Depth-first over paths from ``start``; ``todo[i]`` holds the neighbours
     of ``path[i]`` not tried yet, lowest first. A path is tested for closing
-    as soon as its end is pushed, before the end's own extensions.
+    as soon as its end is pushed, before the end's own extensions. With
+    ``induced``, only induced cycles are found: a pushed end with a chord to
+    the path is not extended, nor is an end that closes a cycle.
     """
     adj = g.adj
     home = 1 << start
@@ -283,41 +285,36 @@ def _cycle_dfs(g: Graph, start: int, min_len: int, max_len: int):
         b = rest & -rest
         todo[-1] = rest ^ b
         w = b.bit_length() - 1
+        chord = induced and adj[w] & on_path & ~(home | 1 << path[-1])
         path.append(w)
         on_path |= b
         depth = len(path)
-        if adj[w] & home and depth >= shortest and path[1] < w:
+        closes = depth > 2 and adj[w] & home
+        if closes and not chord and depth >= shortest and path[1] < w:
             results.append(tuple(path))
             if len(results) > CYCLE_ENUM_CAP:
                 raise TierExceeded("cycle enumeration cap exceeded")
-        todo.append(adj[w] & above & ~on_path if depth < max_len else 0)
+        stop = depth >= max_len or chord or induced and closes
+        todo.append(0 if stop else adj[w] & above & ~on_path)
     return results
 
 
-def _cycle_is_induced(g: Graph, cyc: tuple[int, ...]) -> bool:
-    m = mask_of(cyc)
-    return _edges_inside(g, m) == len(cyc)
-
-
-def enumerate_cycles(g: Graph, lengths=(5, 6)) -> list[CycleWitness]:
+def enumerate_cycles(g: Graph, lengths=(5, 6)) -> list[tuple[int, ...]]:
     """All simple cycles of the requested lengths, up to rotation/reflection."""
     lo, hi = min(lengths), max(lengths)
-    out = []
-    for start in range(g.n):
-        for cyc in _cycle_dfs(g, start, lo, hi):
-            if len(cyc) in lengths:
-                out.append(CycleWitness(cyc, _cycle_is_induced(g, cyc)))
-    return out
+    return [
+        cyc for start in range(g.n - lo + 1) for cyc in _cycle_dfs(g, start, lo, hi, False) if len(cyc) in lengths
+    ]
 
 
-def has_induced_cycle_at_least(g: Graph, length: int) -> Optional[CycleWitness]:
+def has_induced_cycle_at_least(g: Graph, length: int) -> Optional[tuple[int, ...]]:
     """Earliest induced cycle with at least ``length`` vertices, if any."""
     if length < 3:
         raise GirthTooSmall("cycle length bound must be at least 3")
-    for start in range(g.n):
-        for cyc in _cycle_dfs(g, start, length, g.n):
-            if _cycle_is_induced(g, cyc):
-                return CycleWitness(cyc, True)
+    for start in range(g.n - length + 1):  # a cycle's smallest vertex has length - 1 above it
+        cycles = _cycle_dfs(g, start, length, g.n, True)
+        if cycles:
+            return cycles[0]
     return None
 
 
@@ -335,10 +332,11 @@ def cactus_equality_characterization(g: Graph) -> tuple[bool, list]:
     exactly when they are consecutive on it. A violation is the vertex
     tuple of its block, in increasing order.
     """
-    if not is_cactus(g):
+    blocks = _cactus_blocks(g)
+    if blocks is None:
         raise NotACactus("characterization applies to cacti only")
     violations = []
-    for b in blocks_and_bridges(g)[0]:
+    for b in blocks:
         p = b.bit_count()
         deg2 = mask_of(v for v in iter_bits(b) if g.degree(v) == 2)
         if p >= 5 and deg2 and (p >= 7 or not any(g.adj[v] & deg2 for v in iter_bits(deg2))):
@@ -378,19 +376,19 @@ def lemma_perfect_conditions(g: Graph) -> tuple[bool, list]:
     violations = []
     long_cycle = has_induced_cycle_at_least(g, 7)
     if long_cycle is not None:
-        violations.append(("induced-long-cycle", long_cycle.vertices))
+        violations.append(("induced-long-cycle", long_cycle))
     cut_of_hood: dict[int, int] = {}  # N[V(C)] -> cut vertices of H, per call
-    for wit in enumerate_cycles(g, (5, 6)):
-        cyc = wit.vertices
+    for cyc in enumerate_cycles(g, (5, 6)):
         p = len(cyc)
-        hood = 0
+        on_c = hood = mask_of(cyc)
         for v in cyc:
-            hood |= bit(v) | g.adj[v]
+            hood |= g.adj[v]
         cut_h = cut_of_hood.get(hood)
         if cut_h is None:
-            sub, old = induced_subgraph(g, hood)
-            _, _, cut_sub = blocks_and_bridges(sub)
-            cut_h = cut_of_hood[hood] = mask_of(old[v] for v in iter_bits(cut_sub))
+            # H = G[hood] is connected, so its cut vertices are those whose deletion disconnects it
+            cut_h = cut_of_hood[hood] = mask_of(
+                v for v in iter_bits(hood) if not mask_connected(g.adj, hood & ~bit(v))
+            )
         if any(
             not cut_h >> cyc[i] & 1 and not cut_h >> cyc[(i + 1) % p] & 1
             for i in range(p)
@@ -403,7 +401,7 @@ def lemma_perfect_conditions(g: Graph) -> tuple[bool, list]:
             a, b = cyc[i - 1], cyc[(i + 1) % p]
             if g.has_edge(a, b):
                 continue
-            if not g.adj[a] & g.adj[b] & ~bit(v) & mask_of(cyc):
+            if not g.adj[a] & g.adj[b] & ~bit(v) & on_c:
                 cond2 = False
                 break
         if not cond2:

@@ -16,6 +16,7 @@ from domlab.gadgets import cycle, complete, gap_gadget, path, star
 from domlab.graph import (
     ACYCLIC,
     UNREACHABLE,
+    VERTEX_TIER,
     add_edge,
     blocks_and_bridges,
     components,
@@ -94,8 +95,27 @@ def test_graph6_roundtrip_seeded_corpus():
         assert graph6_decode(graph6_encode(g)) == g
 
 
+@pytest.mark.parametrize("n", [63, 64])
+def test_graph6_roundtrip_extended_order(n):
+    # n >= 63 is written as '~' and three 6-bit groups
+    g = path(n)
+    assert graph6_encode(g)[0] == "~"
+    assert graph6_decode(graph6_encode(g)) == g
+
+
+def test_graph6_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(63)
+    for n in (1, 2, 7, 62, 63, 64):
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from(edges)
+        assert graph6_encode(from_edge_list(n, edges)) == nx.to_graph6_bytes(ref, header=False).decode().strip()
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 12), st.data())
+@given(st.integers(1, VERTEX_TIER), st.data())
 def test_graph6_roundtrip_property(n, data):
     pairs = list(itertools.combinations(range(n), 2))
     chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
@@ -164,7 +184,7 @@ def test_girth_gap_gadget_by_cycle_enumeration():
     shortest = min(
         len(c)
         for start in range(g.n)
-        for c in _cycle_dfs(g, start, 3, g.n)
+        for c in _cycle_dfs(g, start, 3, g.n, False)
     )
     assert shortest == 3
     assert girth(g) == 3

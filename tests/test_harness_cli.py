@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 from collections import Counter
@@ -128,6 +129,42 @@ def test_report_json_lines_deterministic(cfg):
         "failed": 0,
         "skipped": 0,
     }
+
+
+# sha256 of the deterministic report of every theorem; a change that
+# alters any verdict, counterexample or counter on these corpora shows here
+GOLDEN_REPORTS = {
+    "exhaustive:5": "0823dcdd6ceacf7934bd9c4b47d0547e05156b6d6b493115be62c1f71f089a3f",
+    "file:data/connected_n7.g6": "e0e94513a9e8d5fc8eb4a601eebc1d46d580fa0686fe2a5e83b405ca29de5dcf",
+    "file:data/connected_n8.g6": "710888fadb504eb19283430b5d2e886d9126432dd1f87b7916ca42f02b934dd8",
+    "random:cactus:40:4": "e33b8a1554d4dcdd37b435b0765c3af9b9ac39513a48085b5c53fb243b940c7b",
+    "gadget:edge:-3,-2,-1,0,1,2,3": "18f8bfed41a964c0887e10fd890eaf5efe12be02361c587161d6a8e742963846",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_REPORTS))
+def test_golden_reports(spec, cfg, data_dir, monkeypatch):
+    # a file corpus's scope line holds its path as given, so run from the repo root
+    monkeypatch.chdir(data_dir.parent)
+    text = run_verification(sorted(THEOREMS), CorpusSpec.parse(spec), cfg).to_json_lines(include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[spec]
+
+
+def test_cactus_check_decomposes_each_graph_twice(cfg, monkeypatch):
+    # once for ``applies`` (is_cactus), once for the characterization
+    import domlab.recognizers as recognizers
+
+    calls = Counter()
+    blocks = recognizers.blocks_and_bridges
+
+    def counting(g):
+        calls[g] += 1
+        return blocks(g)
+
+    monkeypatch.setattr(recognizers, "blocks_and_bridges", counting)
+    report = run_verification(["S3.cactus"], CorpusSpec.parse("random:cactus:40:4"), cfg)
+    assert report.checks[0].stats["checked"] == 40
+    assert sum(calls.values()) == 80
 
 
 def test_report_skipped_counts(cfg):

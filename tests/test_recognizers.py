@@ -19,9 +19,20 @@ from domlab.gadgets import (
     random_tree,
     star,
 )
-from domlab.graph import bit, from_edge_list, graph6_decode, induced_subgraph, mask_connected, mask_of
+from domlab.graph import (
+    bit,
+    blocks_and_bridges,
+    from_edge_list,
+    graph6_decode,
+    induced_subgraph,
+    is_connected,
+    iter_bits,
+    mask_connected,
+    mask_of,
+)
 from domlab.harness import exhaustive_connected, read_graph6_file
 from domlab.recognizers import (
+    _cycle_dfs,
     _perfectness_pass,
     cactus_equality_characterization,
     classify,
@@ -125,11 +136,51 @@ def test_has_induced_cycle_at_least():
         has_induced_cycle_at_least(cycle(5), 2)
 
 
+def dense_graphs(count, n=9, p=0.8):
+    """Seeded connected G(n, p) graphs."""
+    out, seed = [], 0
+    while len(out) < count:
+        rng = random.Random(seed)
+        seed += 1
+        g = from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        if is_connected(g):
+            out.append(g)
+    return out
+
+
+def first_induced_cycles_by_filter(g, lengths):
+    """Reference for ``has_induced_cycle_at_least``: every cycle from the
+    unpruned walk, in walk order, kept only if it has no chord; the first
+    one with at least k vertices, for each k."""
+    cycles = [c for s in range(g.n) for c in _cycle_dfs(g, s, 3, g.n, False)]
+    induced = [c for c in cycles if sum((g.adj[v] & mask_of(c)).bit_count() for v in c) == 2 * len(c)]
+    return [next((c for c in induced if len(c) >= k), None) for k in lengths]
+
+
+def test_induced_walk_matches_filtered_cycle_list():
+    lengths = range(3, 8)
+    graphs = list(exhaustive_connected(6)) + dense_graphs(50)
+    found = 0
+    for g in graphs:
+        expected = first_induced_cycles_by_filter(g, lengths)
+        assert [has_induced_cycle_at_least(g, k) for k in lengths] == expected, g
+        found += sum(c is not None for c in expected)
+    assert found
+
+
+def test_induced_walk_stops_at_chords():
+    # every path of three or more vertices in K_9 has a chord or closes a triangle
+    k9 = complete(9)
+    assert all(_cycle_dfs(k9, s, 7, 9, True) == [] for s in range(9))
+    assert len(_cycle_dfs(k9, 0, 3, 9, True)) == 28  # the triangles through vertex 0
+    assert has_induced_cycle_at_least(k9, 4) is None
+
+
 def test_enumerate_cycles():
     assert len(enumerate_cycles(cycle(5), (5, 6))) == 1
     assert len(enumerate_cycles(complete(4), (5, 6))) == 0
     fig = fig_example_not_perfect()
-    cycles = [set(w.vertices) for w in enumerate_cycles(fig.graph, (5, 6))]
+    cycles = [set(c) for c in enumerate_cycles(fig.graph, (5, 6))]
     five = {fig.labels[x] for x in "abdef"}
     assert five in cycles
 
@@ -187,17 +238,18 @@ def test_lemma_perfect_conditions():
     assert holds
 
 
-def cycle_violations_by_deletion(g):
+def cycle_violations_by_blocks(g):
     """Reference for the 5/6-cycle part of ``lemma_perfect_conditions``: the
-    cut vertices of H = G[N[V(C)]] found afresh for every cycle, as the
-    vertices whose deletion disconnects H."""
+    cut vertices of H = G[N[V(C)]] found afresh for every cycle, from the
+    Hopcroft-Tarjan blocks of H built as its own graph."""
     out = []
-    for wit in enumerate_cycles(g, (5, 6)):
-        cyc, on_c = wit.vertices, mask_of(wit.vertices)
+    for cyc in enumerate_cycles(g, (5, 6)):
+        on_c = mask_of(cyc)
         hood = on_c
         for v in cyc:
             hood |= g.adj[v]
-        cut = mask_of(v for v in range(g.n) if hood >> v & 1 and not mask_connected(g.adj, hood & ~bit(v)))
+        h, old = induced_subgraph(g, hood)
+        cut = mask_of(old[v] for v in iter_bits(blocks_and_bridges(h)[2]))
         p = len(cyc)
         if any(not cut >> cyc[i] & 1 and not cut >> cyc[(i + 1) % p] & 1 for i in range(p)):
             continue
@@ -216,7 +268,7 @@ def test_lemma_cycle_conditions_match_per_cycle_reference(data_dir):
     for g in graphs:
         _, violations = lemma_perfect_conditions(g)
         cycle_violations = [v for v in violations if v[0] == "cycle-conditions"]
-        assert cycle_violations == cycle_violations_by_deletion(g), g
+        assert cycle_violations == cycle_violations_by_blocks(g), g
         violated += bool(cycle_violations)
     assert 0 < violated < len(graphs)
 

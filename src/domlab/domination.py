@@ -16,11 +16,13 @@ from itertools import combinations
 from .errors import Disconnected, EmptySet, Inconclusive, ParameterOutOfRange, TierExceeded
 from .graph import (
     Graph,
+    _Balls,
+    _distance_balls,
+    diameter,
     graph6_encode,
     is_complete,
     iter_bits,
     mask_connected,
-    raw_distance_matrix,
     require_connected,
     set_to_list,
     vertex_roles,
@@ -87,40 +89,6 @@ def is_connected_dominating(g: Graph, x: int) -> bool:
     return is_dominating(g, x) and mask_connected(g.adj, x)
 
 
-class _Balls(dict):
-    """``balls[a][d]``: the vertices within distance ``d`` of ``a`` inside
-    ``G[x]``, for ``d`` from 0 up to the eccentricity of ``a`` there (the
-    last ball is all of ``x``). ``x`` must be connected: a BFS inside ``x``
-    builds the balls of ``a`` the first time they are asked for, and runs
-    until it has reached all of ``x``."""
-
-    def __init__(self, adj: tuple[int, ...], x: int):
-        self.adj, self.x = adj, x
-
-    def __missing__(self, a: int) -> list[int]:
-        adj, x = self.adj, self.x
-        seen = frontier = 1 << a
-        layers = [seen]
-        while seen != x:
-            reach = 0
-            while frontier:
-                b = frontier & -frontier
-                reach |= adj[b.bit_length() - 1]
-                frontier ^= b
-            frontier = reach & x & ~seen
-            seen |= frontier
-            layers.append(seen)
-        self[a] = layers
-        return layers
-
-
-@lru_cache(maxsize=16)
-def _distance_balls(g: Graph) -> _Balls:
-    """The host balls of a connected graph. Cached for the few graphs in
-    hand, since ``is_weakly_convex`` is called set after set on one graph."""
-    return _Balls(g.adj, g.full_mask)
-
-
 def _weakly_convex(adj: tuple[int, ...], balls: _Balls, x: int) -> bool:
     """True iff ``G[x]`` keeps the host distance of every pair of ``x``.
 
@@ -160,10 +128,10 @@ def is_weakly_convex(g: Graph, x: int) -> bool:
     """
     if x == 0:
         raise EmptySet("weak-convexity predicate on the empty set")
-    dist = raw_distance_matrix(g)
-    if any(d < 0 for d in dist[0]):
+    balls = _distance_balls(g)
+    if balls[0][-1] != g.full_mask:
         raise Disconnected("weak convexity requires a connected host graph")
-    return _weakly_convex(g.adj, _distance_balls(g), x)
+    return _weakly_convex(g.adj, balls, x)
 
 
 def is_wcon_dominating(g: Graph, x: int) -> bool:
@@ -277,8 +245,7 @@ def _solve_minimum(
     reach = [0] * (n + 1)
     for v in reversed(range(n)):
         reach[v] = reach[v + 1] if excluded >> v & 1 else reach[v + 1] | closed[v]
-    diam = max(map(max, raw_distance_matrix(g)))
-    for k in range(max(floor, forced.bit_count(), diam - 1), n + 1):
+    for k in range(max(floor, forced.bit_count(), diameter(g) - 1), n + 1):
         try:
             for root in roots:
                 r = root.bit_length() - 1

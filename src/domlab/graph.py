@@ -3,7 +3,7 @@
 Vertices are dense indices ``0..n-1`` and every vertex set is an ``int``
 bit mask, so all hot loops are plain integer arithmetic.  Graphs are
 hashable and never mutated after construction; derived quantities such
-as the distance matrix are memoized per graph.
+as the distance balls are memoized per graph.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def _int_pair(line: str, what: str) -> tuple[int, int]:
 
 
 def parse_edge_list(text: str) -> Graph:
-    """Parse the ``n m`` header / ``u v`` lines format; '#' starts a comment."""
+    """Parse the ``n m`` header and exactly ``m`` ``u v`` lines; '#' starts a comment."""
     lines = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -200,7 +200,7 @@ def parse_edge_list(text: str) -> Graph:
     if not lines:
         raise MalformedGraph6("empty edge-list input")
     n, m = _int_pair(lines[0], "edge-list header")
-    edges = [_int_pair(line, "edge line") for line in lines[1 : m + 1]]
+    edges = [_int_pair(line, "edge line") for line in lines[1:]]
     if len(edges) != m:
         raise MalformedGraph6(f"expected {m} edges, found {len(edges)}")
     return from_edge_list(n, edges)
@@ -225,29 +225,61 @@ def to_dot(g: Graph) -> str:
 # distances, girth, connectivity
 
 
-def _bfs_row(adj: tuple[int, ...], n: int, source: int) -> list[int]:
-    # -1 marks unreachable; callers translate to the public sentinel.
-    dist = [-1] * n
-    seen = frontier = 1 << source
-    d = 0
-    while frontier:
-        nxt = 0
-        while frontier:  # each layer's vertices get their distance as they expand
-            b = frontier & -frontier
-            v = b.bit_length() - 1
-            dist[v] = d
-            nxt |= adj[v]
-            frontier ^= b
-        frontier = nxt & ~seen
-        seen |= frontier
-        d += 1
-    return dist
+class _Balls(dict):
+    """``balls[a][d]``: the vertices within distance ``d`` of ``a`` inside
+    ``G[x]``, for ``d`` from 0 up to the eccentricity of ``a`` there. A BFS
+    inside ``x`` builds the balls of ``a`` the first time they are asked
+    for, and stops at the first layer that adds nothing, so the last ball
+    is the component of ``a`` in ``G[x]`` (all of ``x`` when connected)."""
+
+    def __init__(self, adj: tuple[int, ...], x: int):
+        self.adj, self.x = adj, x
+
+    def __missing__(self, a: int) -> list[int]:
+        adj, x = self.adj, self.x
+        seen = frontier = 1 << a
+        layers = [seen]
+        while seen != x:
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                reach |= adj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = reach & x & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            layers.append(seen)
+        self[a] = layers
+        return layers
+
+
+@lru_cache(maxsize=16)
+def _distance_balls(g: Graph) -> _Balls:
+    """The host balls: the one builder of host distances. Cached for the
+    few graphs in hand, since ``is_weakly_convex`` is called set after set
+    on one graph."""
+    return _Balls(g.adj, g.full_mask)
 
 
 @lru_cache(maxsize=65536)
 def raw_distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """Distance matrix with ``-1`` for unreachable pairs (internal form)."""
-    return tuple(tuple(_bfs_row(g.adj, g.n, v)) for v in range(g.n))
+    """Distance matrix with ``-1`` for unreachable pairs (internal form).
+
+    Read off the ball table: the vertices of ``balls[v][d]`` outside
+    ``balls[v][d - 1]`` are at distance ``d`` from ``v``.
+    """
+    balls = _distance_balls(g)
+    rows = []
+    for v in range(g.n):
+        row = [-1] * g.n
+        inner = 0
+        for d, ball in enumerate(balls[v]):
+            for u in iter_bits(ball & ~inner):
+                row[u] = d
+            inner = ball
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def distances_from(g: Graph, v: int) -> list:
@@ -263,38 +295,38 @@ def distance_matrix(g: Graph) -> list[list]:
 
 def diameter(g: Graph):
     """Maximum pairwise distance, or UNREACHABLE when disconnected."""
-    best = 0
-    for row in raw_distance_matrix(g):
-        for d in row:
-            if d < 0:
-                return UNREACHABLE
-            if d > best:
-                best = d
-    return best
+    balls = _distance_balls(g)
+    if balls[0][-1] != g.full_mask:
+        return UNREACHABLE
+    return max(len(balls[v]) for v in range(g.n)) - 1
 
 
 def girth(g: Graph):
     """Length of the shortest cycle; ACYCLIC for forests.
 
-    For each source's row of the distance matrix, the shortest cycle through
-    edges seen from that source is found via a cross edge inside or between
-    BFS layers (an edge that is not a BFS-tree edge).
+    From a source, an edge inside ring ``d`` (the vertices at distance
+    ``d``) closes a cycle of length at most 2d + 1, and a vertex of ring
+    d + 1 with two neighbours in ring ``d`` closes one of at most 2d + 2.
+    Seen from any of its vertices, a shortest cycle closes in exactly this
+    way, so the least value over all sources is the girth.
     """
+    adj = g.adj
+    balls = _distance_balls(g)
     best = None
-    for dist in raw_distance_matrix(g):
-        parent = [-1] * g.n
-        for v, d in enumerate(dist):
-            if d > 0:  # BFS parent: the lowest neighbour one layer closer
-                parent[v] = next(u for u in iter_bits(g.adj[v]) if dist[u] == d - 1)
-        for u in range(g.n):
-            if dist[u] < 0:
-                continue
-            for v in iter_bits(g.adj[u] >> (u + 1) << (u + 1)):
-                if dist[v] < 0 or parent[v] == u or parent[u] == v:
-                    continue
-                cyc = dist[u] + dist[v] + 1
-                if best is None or cyc < best:
-                    best = cyc
+    for s in range(g.n):
+        inner = prev = 0  # the ball and the ring one step closer to s
+        for d, ball in enumerate(balls[s]):
+            if best is not None and 2 * d >= best:
+                break  # ring d closes no cycle shorter than 2d
+            ring = ball & ~inner
+            for v in iter_bits(ring):
+                up = adj[v] & prev
+                if up & (up - 1):
+                    best = 2 * d
+                    break
+                if adj[v] & ring:
+                    best = 2 * d + 1
+            inner, prev = ball, ring
     return ACYCLIC if best is None else best
 
 
@@ -307,22 +339,15 @@ def is_complete(g: Graph) -> bool:
 
 
 def components(g: Graph) -> list[int]:
-    """Connected components as vertex masks, lowest vertex first."""
+    """Connected components as vertex masks, lowest vertex first: each is
+    the last ball of its lowest vertex."""
+    balls = _distance_balls(g)
     remaining = g.full_mask
     comps = []
     while remaining:
-        start = remaining & -remaining
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= g.adj[v]
-            nxt &= remaining & ~seen
-            seen |= nxt
-            frontier = nxt
-        comps.append(seen)
-        remaining &= ~seen
+        comp = balls[(remaining & -remaining).bit_length() - 1][-1]
+        comps.append(comp)
+        remaining &= ~comp
     return comps
 
 

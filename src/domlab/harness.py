@@ -68,7 +68,6 @@ RANDOM_FAMILIES = {
     "unicyclic": lambda rng, seed: random_unicyclic(rng.randint(3, 18), seed),
     "cactus": lambda rng, seed: random_cactus(rng.randint(1, 16), rng.random(), seed),
     "girth7": lambda rng, seed: random_long_cycle_tree(rng.randint(7, 18), seed),
-    "graph6roundtrip": lambda rng, seed: random_connected_graph(rng.randint(1, 20), seed),
 }
 
 

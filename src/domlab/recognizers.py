@@ -12,11 +12,12 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import GirthTooSmall, NotACactus, TierExceeded
-from .domination import _Balls, _weakly_convex
+from .domination import _weakly_convex
 from .gadgets import h_star
 from .graph import (
     ACYCLIC,
     Graph,
+    _Balls,
     blocks_and_bridges,
     bit,
     girth,

@@ -26,7 +26,6 @@ from domlab.gadgets import (
     gap_gadget,
     h_star,
     path,
-    random_connected_graph,
     random_tree,
     star,
 )
@@ -91,38 +90,6 @@ def test_is_weakly_convex_matches_definition():
     for g, subsets in cases:
         for x in subsets:
             assert is_weakly_convex(g, x) == isometric_by_definition(g, x), (g.adj, x)
-
-
-def balls_from_matrix(g):
-    """Reference balls: each distance-matrix row bucketed by distance and
-    OR-ed up, so ``balls[a][d]`` holds every vertex within ``d`` of ``a``."""
-    out = []
-    for row in raw_distance_matrix(g):
-        layers = [0] * (max(row) + 1)
-        for v, d in enumerate(row):
-            layers[d] |= 1 << v
-        for d in range(1, len(layers)):
-            layers[d] |= layers[d - 1]
-        out.append(layers)
-    return out
-
-
-def test_one_ball_builder_matches_distance_matrix():
-    graphs = list(exhaustive_connected(5))
-    rng = random.Random(17)
-    graphs += [random_connected_graph(rng.randint(1, 12), rng.randrange(10**6)) for _ in range(40)]
-    for g in graphs:
-        host = domination._distance_balls(g)
-        assert [host[a] for a in range(g.n)] == balls_from_matrix(g), g.adj
-        for _ in range(12):
-            x = rng.randrange(1, 1 << g.n)
-            if not mask_connected(g.adj, x):
-                continue
-            sub, old = induced_subgraph(g, x)
-            inside = domination._Balls(g.adj, x)
-            expected = [[mask_of(old[i] for i in range(sub.n) if ball >> i & 1) for ball in row]
-                        for row in balls_from_matrix(sub)]
-            assert [inside[a] for a in old] == expected, (g.adj, x)
 
 
 def test_is_wcon_dominating():

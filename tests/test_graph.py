@@ -12,11 +12,14 @@ from domlab.errors import (
     SelfLoop,
     TierExceeded,
 )
+from domlab.domination import _connected_certificate, gamma_pair
 from domlab.gadgets import cycle, complete, gap_gadget, path, star
 from domlab.graph import (
     ACYCLIC,
     UNREACHABLE,
     VERTEX_TIER,
+    _Balls,
+    _distance_balls,
     add_edge,
     blocks_and_bridges,
     components,
@@ -39,7 +42,7 @@ from domlab.graph import (
     to_dot,
     vertex_roles,
 )
-from domlab.harness import exhaustive_connected, read_graph6_file
+from domlab.harness import THEOREMS, CorpusSpec, exhaustive_connected, read_graph6_file, run_verification
 
 
 def test_from_edge_list_triangle():
@@ -174,6 +177,48 @@ def test_girth():
     assert girth(star(5)) is ACYCLIC
     assert girth(complete(4)) == 3
     assert girth(cycle(4)) == 4
+
+
+def balls_of(dist):
+    """Reference balls from a networkx distance dict: ``balls[d]`` holds
+    every vertex within ``d`` of the source."""
+    balls = [0] * (max(dist.values()) + 1)
+    for v, d in dist.items():
+        balls[d] |= 1 << v
+    for d in range(1, len(balls)):
+        balls[d] |= balls[d - 1]
+    return balls
+
+
+def test_ball_table_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(40)
+    graphs = list(exhaustive_connected(6))
+    for _ in range(150):  # sparse ones are mostly disconnected
+        n, p = rng.randint(1, 40), rng.random() * 0.3
+        graphs.append(from_edge_list(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    graphs += [gap_gadget(k).graph for k in (6, 7, 8)]
+    for g in graphs:
+        ref = nx.Graph()
+        ref.add_nodes_from(range(g.n))
+        ref.add_edges_from(g.edges())
+        dist = dict(nx.all_pairs_shortest_path_length(ref))
+        host = _distance_balls(g)
+        assert [host[a] for a in range(g.n)] == [balls_of(dist[a]) for a in range(g.n)], g.adj
+        assert distance_matrix(g) == [[dist[a].get(b, UNREACHABLE) for b in range(g.n)] for a in range(g.n)], g.adj
+        connected = nx.is_connected(ref)
+        assert diameter(g) == (nx.diameter(ref, e=nx.eccentricity(ref, sp=dist)) if connected else UNREACHABLE), g.adj
+        shortest = nx.girth(ref)
+        assert girth(g) == (ACYCLIC if shortest == float("inf") else shortest), g.adj
+        lowest_first = sorted((mask_of(c) for c in nx.connected_components(ref)), key=lambda c: c & -c)
+        assert components(g) == lowest_first, g.adj
+        if g.n > 6 or rng.random() < 0.03:
+            for _ in range(6):  # induced balls, of connected and disconnected X alike
+                x = rng.randrange(1, 1 << g.n)
+                inside = _Balls(g.adj, x)
+                sub = ref.subgraph(set_to_list(x))
+                expected = [balls_of(nx.single_source_shortest_path_length(sub, a)) for a in sub]
+                assert [inside[a] for a in sub] == expected, (g.adj, x)
 
 
 def test_girth_gap_gadget_by_cycle_enumeration():
@@ -384,12 +429,28 @@ def test_is_connected_components():
     assert is_connected(gap_gadget(6).graph)
 
 
-def test_connectivity_builds_no_distance_matrix(data_dir):
+def test_connectivity_builds_no_distance_matrix(data_dir, cfg):
     raw_distance_matrix.cache_clear()
     assert sum(1 for _ in exhaustive_connected(5)) == 772
     assert raw_distance_matrix.cache_info().currsize == 0
     assert sum(1 for _ in read_graph6_file(str(data_dir / "connected_n7.g6"))) > 0
     assert raw_distance_matrix.cache_info().currsize == 0
+    # solves and checks read the ball table; only the public accessors build the matrix
+    gamma_pair.cache_clear()
+    _connected_certificate.cache_clear()
+    assert gamma_pair(gap_gadget(6).graph, cfg) == (10, 16)
+    assert raw_distance_matrix.cache_info().currsize == 0
+    gamma_pair.cache_clear()
+    _connected_certificate.cache_clear()
+    assert run_verification(sorted(THEOREMS), CorpusSpec.parse("exhaustive:4")).checks
+    assert raw_distance_matrix.cache_info().currsize == 0
+
+
+def test_edge_list_refuses_surplus_edge_lines():
+    with pytest.raises(MalformedGraph6, match="expected 2 edges, found 3"):
+        parse_edge_list("3 2\n0 1\n1 2\n0 2\n")
+    with pytest.raises(MalformedGraph6, match="expected 2 edges, found 1"):
+        parse_edge_list("3 2\n0 1\n")
 
 
 def test_edge_list_text_roundtrip():

@@ -60,7 +60,7 @@ def test_corpus_spec_parse_roundtrip():
 def test_corpus_spec_parse_errors():
     for bad in ("exhaustive", "random:tree:10", "gadget:gap", "nope:1",
                 "exhaustive:x", "random:tree:x:1", "gadget:gap:a", "gadget:foo:1",
-                "random:nosuch:3:1", "random:nosuch:0:1", "random:tree:-5:1",
+                "random:nosuch:3:1", "random:nosuch:0:1", "random:tree:-5:1", "random:graph6roundtrip:3:1",
                 "random:tree:0:1", "exhaustive:0", "exhaustive:-1", "exhaustive:8"):
         with pytest.raises(CorpusReadError):
             CorpusSpec.parse(bad)
@@ -264,6 +264,13 @@ def test_cli_solve_edgelist(tmp_path, capsys):
         capsys, "solve", "--input", str(p), "--format", "edgelist"
     )
     assert code == 0 and json.loads(out)["value"] == 4
+
+
+def test_cli_edgelist_refuses_surplus_edge_lines(tmp_path, capsys):
+    p = tmp_path / "triangle.txt"
+    p.write_text("3 2\n0 1\n1 2\n0 2\n")  # the header counts 2 edges, the lines hold a triangle
+    code, out, err = run_cli(capsys, "solve", "--input", str(p), "--format", "edgelist")
+    assert code == 2 and out == "" and "expected 2 edges, found 3" in err
 
 
 def test_cli_solve_k1(tmp_path, capsys):

@@ -132,7 +132,7 @@ def cmd_gadget(args) -> int:
 
 def cmd_verify(args) -> int:
     corpus = CorpusSpec.parse(args.corpus)
-    ids = args.theorems.split(",") if args.theorems else sorted(THEOREMS)
+    ids = args.theorems.split(",") if args.theorems is not None else sorted(THEOREMS)
     report = run_verification(ids, corpus, _solver_config(args))
     _emit(args, report.to_json_lines())
     statuses = {c.status for c in report.checks}

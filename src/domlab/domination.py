@@ -16,8 +16,8 @@ from itertools import combinations
 from .errors import Disconnected, EmptySet, Inconclusive, ParameterOutOfRange, TierExceeded
 from .graph import (
     Graph,
-    _Balls,
     _distance_balls,
+    _weakly_convex,
     diameter,
     graph6_encode,
     is_complete,
@@ -87,36 +87,6 @@ def is_connected_dominating(g: Graph, x: int) -> bool:
     if x == 0:
         raise EmptySet("connected-dominating predicate on the empty set")
     return is_dominating(g, x) and mask_connected(g.adj, x)
-
-
-def _weakly_convex(adj: tuple[int, ...], balls: _Balls, x: int) -> bool:
-    """True iff ``G[x]`` keeps the host distance of every pair of ``x``.
-
-    Induced distances never shrink, so a BFS inside ``x`` from ``a`` has
-    reached only ``balls[a][d] & x`` after ``d`` steps; ``x`` keeps every
-    distance from ``a`` iff each layer reaches all of it. The test stops at
-    the first layer that falls short, and skips the last member, whose
-    distances were checked from the others.
-    """
-    rest = x
-    while rest & (rest - 1):
-        a = rest & -rest
-        rest ^= a
-        ball = balls[a.bit_length() - 1]
-        seen = frontier = a
-        d = 0
-        while seen != x:
-            d += 1
-            reach = 0
-            while frontier:
-                b = frontier & -frontier
-                reach |= adj[b.bit_length() - 1]
-                frontier ^= b
-            frontier = reach & x & ~seen
-            seen |= frontier
-            if seen != ball[d] & x:
-                return False
-    return True
 
 
 def is_weakly_convex(g: Graph, x: int) -> bool:

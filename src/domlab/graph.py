@@ -170,6 +170,8 @@ def graph6_decode(text: str) -> Graph:
         raise MalformedGraph6(
             f"expected {(nbits + 5) // 6} edge bytes for n={n}, got {len(body)}"
         )
+    if nbits % 6 and body[-1] & ((1 << (6 - nbits % 6)) - 1):
+        raise MalformedGraph6("graph6 padding bits must be zero")
     adj = [0] * n
     idx = 0
     for v in range(1, n):
@@ -262,7 +264,37 @@ def _distance_balls(g: Graph) -> _Balls:
     return _Balls(g.adj, g.full_mask)
 
 
-@lru_cache(maxsize=65536)
+def _weakly_convex(adj: tuple[int, ...], balls: _Balls, x: int) -> bool:
+    """True iff ``G[x]`` keeps the host distance of every pair of ``x``.
+
+    Induced distances never shrink, so a BFS inside ``x`` from ``a`` has
+    reached only ``balls[a][d] & x`` after ``d`` steps; ``x`` keeps every
+    distance from ``a`` iff each layer reaches all of it. The test stops at
+    the first layer that falls short, and skips the last member, whose
+    distances were checked from the others.
+    """
+    rest = x
+    while rest & (rest - 1):
+        a = rest & -rest
+        rest ^= a
+        ball = balls[a.bit_length() - 1]
+        seen = frontier = a
+        d = 0
+        while seen != x:
+            d += 1
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                reach |= adj[b.bit_length() - 1]
+                frontier ^= b
+            frontier = reach & x & ~seen
+            seen |= frontier
+            if seen != ball[d] & x:
+                return False
+    return True
+
+
+@lru_cache(maxsize=16)
 def raw_distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Distance matrix with ``-1`` for unreachable pairs (internal form).
 

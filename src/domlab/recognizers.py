@@ -12,12 +12,12 @@ from itertools import combinations
 from typing import Optional
 
 from .errors import GirthTooSmall, NotACactus, TierExceeded
-from .domination import _weakly_convex
 from .gadgets import h_star
 from .graph import (
     ACYCLIC,
     Graph,
     _Balls,
+    _weakly_convex,
     blocks_and_bridges,
     bit,
     girth,
@@ -411,26 +411,11 @@ def lemma_perfect_conditions(g: Graph) -> tuple[bool, list]:
 
 
 def is_gc_gwcon_perfect(g: Graph) -> tuple[bool, Optional[int]]:
-    """Whether every connected induced subgraph has equal domination numbers.
-
-    Chordal hosts shortcut to the obstruction-freeness test, whose witness
-    is an induced copy of the obstruction. Any other host, up to
-    ``PERFECTNESS_TIER`` vertices, is decided by one exhaustive pass over
-    its vertex masks (``_perfectness_pass``), which makes no solver call and
-    has no node budget; its witness is the numerically smallest connected
-    mask ``X`` with gamma_c(G[X]) != gamma_wcon(G[X]).
-    """
-    if is_chordal(g):
-        emb = contains_induced(g, h_star().graph)
-        return (True, None) if emb is None else (False, mask_of(emb.values()))
-    if g.n > PERFECTNESS_TIER:
-        raise TierExceeded(f"perfectness tier is {PERFECTNESS_TIER} for non-chordal graphs")
-    return _perfectness_pass(g)
-
-
-def _perfectness_pass(g: Graph) -> tuple[bool, Optional[int]]:
-    """Perfectness from gamma_c and gamma_wcon of every connected induced
-    subgraph, all found in one pass.
+    """Whether every connected induced subgraph has equal domination numbers,
+    decided up to ``PERFECTNESS_TIER`` vertices by one exhaustive pass over
+    the host's vertex masks, with no solver call and no node budget. The
+    witness is the numerically smallest connected mask ``X`` with
+    gamma_c(G[X]) != gamma_wcon(G[X]).
 
     The pass takes the connected masks ``D``, smallest first. Every ``X``
     with ``D <= X <= N[D]`` is connected and has ``D`` as a connected
@@ -441,6 +426,8 @@ def _perfectness_pass(g: Graph) -> tuple[bool, Optional[int]]:
     ``G[D]`` are not adjacent, so they are at distance 2 in ``G[X]`` too.
     The work is at most the sum over ``D`` of ``2^|N(D) - D|``, below 3^n.
     """
+    if g.n > PERFECTNESS_TIER:
+        raise TierExceeded(f"perfectness tier is {PERFECTNESS_TIER}")
     adj = g.adj
     n = g.n
     size = 1 << n

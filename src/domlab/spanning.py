@@ -64,8 +64,9 @@ class EdgeRemovalRecord:
 
 
 def _reaches(adj: list[int], a: int, b: int) -> bool:
-    """True iff the vertex of bit ``b`` is reachable from the vertex of bit
-    ``a``; the BFS stops at the first layer that touches ``b``."""
+    """True iff the vertex of bit ``b`` is reachable from the vertex set of
+    mask ``a`` (one vertex or several); the BFS stops at the first layer
+    that touches ``b``."""
     seen = frontier = a
     while frontier:
         nxt = 0
@@ -81,49 +82,44 @@ def _reaches(adj: list[int], a: int, b: int) -> bool:
 
 
 def _tree_masks(g: Graph) -> Iterator[list[int]]:
-    """Adjacency masks of every spanning tree once, by edge inclusion and
-    exclusion with bridge forcing (Read & Tarjan, Networks 1975): an edge is
-    excluded only while the graph minus the excluded edges stays connected.
-    That graph is connected before uv is excluded, so it stays connected
-    exactly when v is still reachable from u.
+    """Adjacency masks of every spanning tree once, grown from vertex 0 by
+    edge inclusion and exclusion with bridge forcing (Read & Tarjan,
+    Networks 1975). The tree spans ``t``; ``out`` holds the vertices outside
+    ``t`` with a host edge into ``t``. The walk branches on the edge from
+    the lowest vertex v of ``out`` to its lowest neighbour u in ``t``: the
+    trees either contain uv or are trees of the host minus uv. Every vertex
+    stays reachable from ``t`` after uv is excluded exactly when v does.
     Both mask lists change in place, so a yielded list is valid until the next."""
     require_connected(g)
-    edges = [(u, v, 1 << u, 1 << v) for u, v in g.edges()]
     n, full = g.n, g.full_mask
     host, tree = list(g.adj), [0] * n
-    root = list(range(n))  # union-find of the tree's components, undone on return
 
-    def find(x: int) -> int:
-        while root[x] != x:
-            x = root[x]
-        return x
-
-    def rec(i: int, size: int):
-        if size == n - 1:
+    def rec(t: int, out: int):
+        if t == full:
             if not mask_connected(tree, full):
                 raise NotATree("enumeration emitted a disconnected edge set")
             yield tree
             return
-        u, v, bu, bv = edges[i]
-        ru, rv = find(u), find(v)
-        if ru == rv:  # chord: including it would close a cycle
-            yield from rec(i + 1, size)
-            return
-        root[ru] = rv
+        bv = out & -out
+        v = bv.bit_length() - 1
+        near = host[v] & t
+        bu = near & -near
+        u = bu.bit_length() - 1
         tree[u] ^= bv
         tree[v] ^= bu
-        yield from rec(i + 1, size + 1)
+        yield from rec(t | bv, (out | host[v]) & ~(t | bv))
         tree[u] ^= bv
         tree[v] ^= bu
-        root[ru] = ru
         host[u] ^= bv
         host[v] ^= bu
-        if _reaches(host, bu, bv):
-            yield from rec(i + 1, size)
+        if near != bu:
+            yield from rec(t, out)
+        elif _reaches(host, t, bv):
+            yield from rec(t, out ^ bv)
         host[u] ^= bv
         host[v] ^= bu
 
-    yield from rec(0, 0)
+    yield from rec(1, g.adj[0])
 
 
 def spanning_trees(g: Graph) -> Iterator[Graph]:

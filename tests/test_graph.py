@@ -79,6 +79,15 @@ def test_graph6_empty_is_error():
         graph6_decode("")
 
 
+def test_graph6_refuses_set_padding_bits():
+    assert graph6_decode("Bw") == cycle(3)
+    assert graph6_decode("C~") == complete(4)  # six edge bits, no padding
+    assert graph6_decode("D~{") == complete(5)
+    for line in ("Bx", "B~", "D~|", "D~~"):  # n = 3 pads 3 bits, n = 5 pads 2
+        with pytest.raises(MalformedGraph6, match="padding bits"):
+            graph6_decode(line)
+
+
 def test_graph6_header_tolerated():
     g = cycle(5)
     assert graph6_decode(">>graph6<<" + graph6_encode(g)) == g

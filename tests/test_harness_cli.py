@@ -273,6 +273,13 @@ def test_cli_edgelist_refuses_surplus_edge_lines(tmp_path, capsys):
     assert code == 2 and out == "" and "expected 2 edges, found 3" in err
 
 
+def test_cli_graph6_refuses_set_padding_bits(tmp_path, capsys):
+    p = tmp_path / "padded.g6"
+    p.write_text("Bx\n")  # the triangle is Bw; x sets its last padding bit
+    code, out, err = run_cli(capsys, "solve", "--input", str(p))
+    assert code == 2 and out == "" and "padding bits" in err
+
+
 def test_cli_solve_k1(tmp_path, capsys):
     p = tmp_path / "k1.g6"
     p.write_text("@\n")
@@ -411,6 +418,11 @@ def test_cli_verify_refuses_disconnected_file_graph(tmp_path, capsys):
         code, out, err = run_cli(capsys, "verify", *theorems, "--corpus", f"file:{p}")
         assert code == 2 and out == "", theorems
         assert f"{p}:2: graph BG is disconnected" in err, theorems
+
+
+def test_cli_verify_empty_theorem_id_is_refused(capsys):
+    code, out, err = run_cli(capsys, "verify", "--theorems", "", "--corpus", "exhaustive:3")
+    assert code == 2 and out == "" and "unknown theorem id ''" in err
 
 
 def test_cli_verify_bad_corpus(capsys):

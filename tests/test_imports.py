@@ -40,3 +40,11 @@ def test_no_unused_imports():
             if unused:
                 found[str(path.relative_to(ROOT))] = unused
     assert found == {}
+
+
+def test_recognizers_do_not_import_domination():
+    # perfectness is decided by its own mask pass, on graph-level primitives
+    tree = ast.parse((ROOT / "src" / "domlab" / "recognizers.py").read_text())
+    modules = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    modules |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert not {m for m in modules if m and m.split(".")[-1] == "domination"}

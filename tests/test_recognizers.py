@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 
 import domlab.domination as domination
+import domlab.recognizers as recognizers
 from domlab.domination import gamma_pair
-from domlab.errors import NotACactus, GirthTooSmall
+from domlab.errors import GirthTooSmall, NotACactus, TierExceeded
 from domlab.gadgets import (
     complete,
     corona_k1,
@@ -33,7 +34,6 @@ from domlab.graph import (
 from domlab.harness import exhaustive_connected, read_graph6_file
 from domlab.recognizers import (
     _cycle_dfs,
-    _perfectness_pass,
     cactus_equality_characterization,
     classify,
     contains_induced,
@@ -281,6 +281,8 @@ def test_is_gc_gwcon_perfect():
     assert perfect
     perfect, witness = is_gc_gwcon_perfect(fig_example_not_perfect().graph)
     assert not perfect and witness is not None
+    with pytest.raises(TierExceeded, match="perfectness tier is 12"):
+        is_gc_gwcon_perfect(path(13))
 
 
 def perfect_by_solves(g, cfg):
@@ -304,15 +306,14 @@ def seeded_non_chordal(count):
 
 
 def test_perfectness_pass_matches_solves(cfg, data_dir):
-    # chordal hosts included: the pass is run directly, past the H* shortcut
     graphs = list(exhaustive_connected(5))
     for name in ("connected_n7.g6", "connected_n8.g6"):
         graphs += list(read_graph6_file(str(data_dir / name)))
     graphs += [h_star().graph, path(12), cycle(12)]  # gamma_c(C_12) = 10: deep layers
     for g in graphs:
-        assert _perfectness_pass(g) == perfect_by_solves(g, cfg), g
+        assert is_gc_gwcon_perfect(g) == perfect_by_solves(g, cfg), g
     fig = fig_example_not_perfect().graph
-    assert _perfectness_pass(fig) == perfect_by_solves(fig, cfg) == (False, 2815)
+    assert is_gc_gwcon_perfect(fig) == perfect_by_solves(fig, cfg) == (False, 2815)
     seeded = seeded_non_chordal(30)
     assert {g.n for g in seeded} == {9, 10, 11, 12}
     verdicts = [perfect_by_solves(g, cfg) for g in seeded]
@@ -351,18 +352,28 @@ def test_lemma_literal_reading_fails_on_perfect_n8_graphs(g6, cyc, cfg):
     assert edges_inside > len(cyc)  # the 5-cycle has a chord: not induced
 
 
-def test_chordal_supergraphs_of_obstruction_not_perfect():
+def test_chordal_supergraphs_of_obstruction_not_perfect(monkeypatch):
     # pendant growth on the chord vertex keeps chordality and the obstruction
     hs = h_star()
     base = hs.graph
+    hosts = []
     for extra in range(3):
         n = base.n + extra
         edges = base.edges() + [(hs.labels["D"], base.n + i) for i in range(extra)]
         g = from_edge_list(n, edges)
         assert is_chordal(g)
         assert contains_induced(g, base) is not None
-        perfect, witness = is_gc_gwcon_perfect(g)
-        assert not perfect and witness is not None
+        hosts.append(g)
+
+    def refuse(*args):
+        raise AssertionError("perfectness took a chordal shortcut")
+
+    # chordal hosts are decided by the mask pass too, not by an obstruction search
+    monkeypatch.setattr(recognizers, "contains_induced", refuse)
+    monkeypatch.setattr(recognizers, "is_chordal", refuse)
+    for g in hosts:
+        # every proper induced subgraph of the obstruction is perfect
+        assert is_gc_gwcon_perfect(g) == (False, base.full_mask), g.n
 
 
 def test_random_cacti_recognized():

@@ -134,6 +134,12 @@ def test_wcon_spectrum_matches_brute_force():
     for seed in range(40):
         graphs.append(random_connected_graph(rng.randint(1, 7), seed))
         graphs.append(hamiltonian_plus_chords(rng, rng.randint(3, 7), rng.randint(0, 6)))
+    spectrum_shaped = 0  # the spectrum workload's shape: n = 11, m = 18
+    while spectrum_shaped < 2:
+        g = hamiltonian_plus_chords(rng, 11, 7)
+        if g.m == 18:
+            graphs.append(g)
+            spectrum_shaped += 1
     for g in graphs:
         assert wcon_spectrum(g).values == brute_force_spectrum(g), g.adj
 

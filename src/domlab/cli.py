@@ -8,7 +8,7 @@ import argparse
 import json
 import sys
 
-from .errors import DomlabError
+from .errors import DomlabError, MalformedGraph6
 from .domination import (
     SolverConfig,
     minimum_connected_dominating,
@@ -29,11 +29,11 @@ from .gadgets import (
     star,
 )
 from .graph import (
-    GRAPH6_HEADER,
     Graph,
     format_edge_list,
     graph6_decode,
     graph6_encode,
+    graph6_lines,
     parse_edge_list,
     to_dot,
 )
@@ -50,11 +50,10 @@ def _read_input(args) -> Graph:
         with open(args.input, errors="surrogateescape") as fh:
             text = fh.read()
     if args.format == "graph6":
-        for line in text.splitlines():
-            line = line.strip()
-            if line and line != GRAPH6_HEADER:
-                return graph6_decode(line)
-        raise DomlabError("no graph6 line found in input")
+        lines = [line for _, line in graph6_lines(text.splitlines())]
+        if len(lines) != 1:
+            raise MalformedGraph6(f"expected one graph6 line, found {len(lines)}")
+        return graph6_decode(lines[0])
     return parse_edge_list(text)
 
 

@@ -108,13 +108,11 @@ def is_wcon_dominating(g: Graph, x: int) -> bool:
     return is_dominating(g, x) and is_weakly_convex(g, x)
 
 
-def is_perfect_connected_dominating(g: Graph, d: int, outside_only: bool = True) -> bool:
-    """Connected dominating set whose dominated vertices have a unique dominator.
-
-    With ``outside_only`` (default) the exactly-one constraint applies to
-    vertices outside ``d``; the alternative reading counts members of ``d``
-    as dominating themselves plus any neighbours inside ``d``.
-    """
+def is_perfect_connected_dominating(g: Graph, d: int) -> bool:
+    """Connected dominating set in which each vertex outside ``d`` has
+    exactly one neighbour in ``d``. This is the one reading: if members of
+    ``d`` counted themselves and their ``d``-neighbours as dominators too,
+    no connected ``d`` of two or more vertices would qualify."""
     if d == 0:
         raise EmptySet("perfect-domination predicate on the empty set")
     if not is_connected_dominating(g, d):
@@ -122,10 +120,6 @@ def is_perfect_connected_dominating(g: Graph, d: int, outside_only: bool = True)
     for v in iter_bits(g.full_mask & ~d):
         if (g.adj[v] & d).bit_count() != 1:
             return False
-    if not outside_only:
-        for v in iter_bits(d):
-            if (g.adj[v] & d).bit_count() != 0:
-                return False
     return True
 
 

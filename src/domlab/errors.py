@@ -49,10 +49,6 @@ class NotATree(DomlabError):
     pass
 
 
-class TreeCountCapExceeded(DomlabError):
-    pass
-
-
 class UnknownTheoremId(DomlabError):
     pass
 
@@ -64,3 +60,7 @@ class CorpusReadError(DomlabError):
 class Inconclusive(DomlabError):
     """A value was not settled: the node budget ran out before it was
     proven optimal, or its spanning trees were too many to enumerate."""
+
+
+class TreeCountCapExceeded(Inconclusive):
+    pass

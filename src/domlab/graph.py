@@ -140,6 +140,15 @@ def graph6_encode(g: Graph) -> str:
     return "".join(chr(63 + c) for c in chunks)
 
 
+def graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """The graph lines of graph6 text, stripped, with their 1-based line
+    numbers; blank lines and the ``>>graph6<<`` header are skipped."""
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and line != GRAPH6_HEADER:
+            yield lineno, line
+
+
 def graph6_decode(text: str) -> Graph:
     """Decode one graph6 line (a ``>>graph6<<`` prefix is tolerated)."""
     line = text.strip()
@@ -157,6 +166,8 @@ def graph6_decode(text: str) -> Graph:
         if len(data) < 4:
             raise MalformedGraph6("truncated extended vertex count")
         n = data[1] << 12 | data[2] << 6 | data[3]
+        if n < 63:  # the one-byte form is the only encoding of these orders
+            raise MalformedGraph6(f"graph6 order {n} written in the four-byte form")
         body = data[4:]
     else:
         n = data[0]

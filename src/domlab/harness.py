@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .errors import CorpusReadError, Inconclusive, TreeCountCapExceeded, UnknownTheoremId
+from .errors import CorpusReadError, Inconclusive, UnknownTheoremId
 from .domination import (
     Kind,
     SolverConfig,
@@ -29,13 +29,13 @@ from .gadgets import (
 )
 from .graph import (
     ACYCLIC,
-    GRAPH6_HEADER,
     Graph,
     diameter,
     from_edge_list,
     girth,
     graph6_decode,
     graph6_encode,
+    graph6_lines,
     induced_subgraph,
     is_connected,
     iter_bits,
@@ -181,10 +181,7 @@ def read_graph6_file(path: str) -> Iterator[Graph]:
     try:
         # undecodable bytes reach the parser, which refuses them with PATH:LINE
         with open(path, errors="surrogateescape") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line == GRAPH6_HEADER:
-                    continue
+            for lineno, line in graph6_lines(fh):
                 try:
                     g = graph6_decode(line)
                 except Exception as exc:
@@ -342,11 +339,13 @@ def _diameter_lemma(g: Graph, cfg: SolverConfig, stats: dict) -> list:
             hit_outside = hit_all = True
             break
         if dm == 3:
-            hit_outside |= is_perfect_connected_dominating(g, d, outside_only=True)
-            hit_all |= is_perfect_connected_dominating(g, d, outside_only=False)
-    ces = _equal_gammas(g, cfg, stats) if hit_outside or hit_all else []
+            hit_outside |= is_perfect_connected_dominating(g, d)
+    ces = _equal_gammas(g, cfg, stats) if hit_outside else []
     # counted once the graph's check is conclusive, like ``checked``
     stats["applicable_outside_reading"] += hit_outside
+    # Under the all-vertices reading of perfectness no connected D of two or
+    # more vertices is perfect, and diam G[D] = 3 needs |D| >= 4. So this
+    # counts the graphs with a minimum connected dominating set of diameter <= 2.
     stats["applicable_all_vertices_reading"] += hit_all
     return ces
 
@@ -395,10 +394,7 @@ def _unicyclic(g: Graph, cfg: SolverConfig, stats: dict) -> list:
 
 
 def _interpolation(g: Graph, cfg: SolverConfig, stats: dict) -> list:
-    try:
-        report = wcon_spectrum(g)
-    except TreeCountCapExceeded as exc:
-        raise Inconclusive(str(exc)) from exc
+    report = wcon_spectrum(g)
     return [] if report.is_interval else [_counterexample(g, values=sorted(set(report.values)))]
 
 

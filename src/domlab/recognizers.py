@@ -8,7 +8,6 @@ structure, and the two-number perfectness predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .errors import GirthTooSmall, NotACactus, TierExceeded
@@ -29,7 +28,6 @@ from .graph import (
     mask_of,
     raw_distance_matrix,
     require_connected,
-    set_to_list,
     vertex_roles,
 )
 
@@ -117,51 +115,46 @@ def is_block_graph(g: Graph) -> bool:
     return all(_edges_inside(g, b) == b.bit_count() * (b.bit_count() - 1) // 2 for b in blocks)
 
 
-def _induced_is_p4(g: Graph, quad: tuple[int, ...]) -> bool:
-    m = mask_of(quad)
-    degs = sorted((g.adj[v] & m).bit_count() for v in quad)
-    return degs == [1, 1, 2, 2] and mask_connected(g.adj, m)
+def _reducible(g: Graph, pendants: bool) -> bool:
+    """Whether deleting twins (the same open or closed neighbourhood), and
+    with ``pendants`` also vertices of degree one, shrinks ``g`` to one vertex.
+
+    Twins alone decide cographs (Corneil, Lerchs & Stewart Burlingham 1981),
+    twins and pendants connected distance-hereditary graphs (Bandelt & Mulder
+    1986). The order of deletions does not matter: both classes are
+    hereditary and closed under adding a twin (or, for distance-hereditary
+    graphs, a pendant), so when v is a twin or a pendant, G is in its class
+    iff G - v is; deleting one also keeps G connected. Each scan deletes the
+    first alive vertex that is a twin of one scanned before it or, with
+    ``pendants``, has exactly one alive neighbour.
+    """
+    adj = list(g.adj)
+    alive = list(range(g.n))
+    while len(alive) > 1:
+        opened, closed = set(), set()
+        for v in alive:
+            a = adj[v]
+            if a in opened or a | 1 << v in closed or pendants and a.bit_count() == 1:
+                break
+            opened.add(a)
+            closed.add(a | 1 << v)
+        else:
+            return False
+        alive.remove(v)
+        for u in iter_bits(adj[v]):
+            adj[u] &= ~(1 << v)
+    return True
 
 
 def is_cograph(g: Graph) -> bool:
-    """No induced path on four vertices."""
-    return not any(_induced_is_p4(g, q) for q in combinations(range(g.n), 4))
+    """No induced path on four vertices; ``g`` may be disconnected."""
+    return _reducible(g, False)
 
 
 def is_distance_hereditary(g: Graph) -> bool:
-    """Elimination recognition: strip pendants and twins down to one vertex.
-
-    At every step the smallest-index false twin is tried first, then true
-    twins, then pendants.
-    """
+    """Every connected induced subgraph of the connected ``g`` is isometric."""
     require_connected(g)
-    alive = g.full_mask
-    adj = list(g.adj)
-
-    def find_removal() -> int:
-        members = set_to_list(alive)
-        for i, v in enumerate(members):
-            for u in members[i + 1 :]:
-                if adj[v] == adj[u]:  # false twins (nonadjacent, same nbrs)
-                    return u
-        for i, v in enumerate(members):
-            for u in members[i + 1 :]:
-                if adj[v] | bit(v) == adj[u] | bit(u):  # true twins
-                    return u
-        for v in members:
-            if adj[v].bit_count() == 1:
-                return v
-        return -1
-
-    while alive.bit_count() > 1:
-        v = find_removal()
-        if v < 0:
-            return False
-        alive &= ~bit(v)
-        for u in set_to_list(alive):
-            adj[u] &= ~bit(v)
-        adj[v] = 0
-    return True
+    return _reducible(g, True)
 
 
 def distance_hereditary_oracle(g: Graph) -> bool:

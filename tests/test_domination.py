@@ -105,10 +105,6 @@ def test_perfect_connected_dominating():
     # C_6 with four consecutive vertices: v4 and v5 each see one dominator
     assert is_perfect_connected_dominating(cycle(6), mask_of([0, 1, 2, 3]))
     assert is_perfect_connected_dominating(cycle(4), mask_of([0, 1]))
-    # all-vertices reading rejects any D with an internal edge
-    assert not is_perfect_connected_dominating(
-        cycle(6), mask_of([0, 1, 2, 3]), outside_only=False
-    )
 
 
 def test_minimum_connected_cycles_and_completes(cfg):

@@ -88,6 +88,15 @@ def test_graph6_refuses_set_padding_bits():
             graph6_decode(line)
 
 
+def test_graph6_refuses_four_byte_order_below_63():
+    for g in (from_edge_list(1, []), cycle(3), path(62)):
+        line = graph6_encode(g)
+        assert graph6_decode(line) == g
+        # '~' and the groups 0, 0, n: the form meant for orders 63 and up
+        with pytest.raises(MalformedGraph6, match="four-byte form"):
+            graph6_decode("~??" + line)
+
+
 def test_graph6_header_tolerated():
     g = cycle(5)
     assert graph6_decode(">>graph6<<" + graph6_encode(g)) == g

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import io
@@ -6,8 +7,9 @@ from collections import Counter
 
 import pytest
 
-from domlab.cli import main
-from domlab.errors import CorpusReadError, UnknownTheoremId
+from domlab.cli import _read_input, main
+from domlab.domination import Kind, all_minimum_sets_oracle
+from domlab.errors import CorpusReadError, MalformedGraph6, UnknownTheoremId
 from domlab.gadgets import (
     complete,
     corona_k1,
@@ -21,7 +23,7 @@ from domlab.gadgets import (
     random_cactus,
     star,
 )
-from domlab.graph import format_edge_list, graph6_encode
+from domlab.graph import diameter, format_edge_list, graph6_encode, induced_subgraph
 from domlab.harness import (
     CorpusSpec,
     THEOREMS,
@@ -112,6 +114,31 @@ def test_run_verification_small(cfg):
 def test_run_verification_unknown_id(cfg):
     with pytest.raises(UnknownTheoremId):
         run_verification(["S9.nope"], CorpusSpec.parse("exhaustive:4"), cfg)
+
+
+@pytest.mark.parametrize("corpus", ["exhaustive:5", "connected_n7.g6", "connected_n8.g6"])
+def test_diameter_lemma_all_vertices_counter(corpus, cfg, data_dir):
+    """The all-vertices reading, written out: every vertex, members of D
+    included, has exactly one dominator in D, a member dominating itself
+    and its D-neighbours. No connected D of two or more vertices meets it,
+    so the counter reads the graphs with a minimum connected dominating set
+    of diameter <= 2."""
+    spec = CorpusSpec.parse(corpus if ":" in corpus else f"file:{data_dir / corpus}")
+    (check,) = run_verification(["S2.diameter-lemma"], spec, cfg).checks
+    graphs = list(spec.graphs())
+    expected = short = 0
+    for g in graphs:
+        hit = has_short = False
+        for d in all_minimum_sets_oracle(g, Kind.CONNECTED):
+            dm = diameter(induced_subgraph(g, d)[0])
+            has_short |= dm <= 2
+            hit |= dm <= 2 or dm == 3 and all(
+                ((g.adj[v] | 1 << v) & d).bit_count() == 1 for v in range(g.n)
+            )
+        expected += hit
+        short += has_short
+    assert check.stats["checked"] == len(graphs)
+    assert check.stats["applicable_all_vertices_reading"] == expected == short
 
 
 def test_report_json_lines_deterministic(cfg):
@@ -278,6 +305,23 @@ def test_cli_graph6_refuses_set_padding_bits(tmp_path, capsys):
     p.write_text("Bx\n")  # the triangle is Bw; x sets its last padding bit
     code, out, err = run_cli(capsys, "solve", "--input", str(p))
     assert code == 2 and out == "" and "padding bits" in err
+
+
+def test_cli_graph6_refuses_surplus_lines(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bw\nCF\n"))  # the triangle, then the star K_1,3
+    code, out, err = run_cli(capsys, "solve")
+    assert code == 2 and out == "" and "expected one graph6 line, found 2" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO(">>graph6<<\n\n  Bw \n\n"))
+    code, out, _ = run_cli(capsys, "solve", "--kind", "connected")
+    assert code == 0 and json.loads(out)["value"] == 1
+
+
+def test_read_input_refuses_surplus_graph6_lines(tmp_path):
+    p = tmp_path / "two.g6"
+    for text, found in (("Bw\nCF\n", 2), (">>graph6<<\n\n", 0)):
+        p.write_text(text)
+        with pytest.raises(MalformedGraph6, match=f"expected one graph6 line, found {found}"):
+            _read_input(argparse.Namespace(input=str(p), format="graph6"))
 
 
 def test_cli_solve_k1(tmp_path, capsys):

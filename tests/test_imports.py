@@ -34,7 +34,7 @@ def test_unused_imports_are_found():
 
 def test_no_unused_imports():
     found = {}
-    for folder in ("src", "tests", "demos"):
+    for folder in ("src", "tests", "demos", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             unused = unused_imports(path.read_text())
             if unused:

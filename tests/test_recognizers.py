@@ -2,6 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import domlab.domination as domination
 import domlab.recognizers as recognizers
@@ -70,6 +71,55 @@ def test_is_cograph():
     assert is_cograph(complete(4))
     assert is_cograph(cycle(4))
     assert is_cograph(star(6))
+
+
+def p4_free(g) -> bool:
+    """The cograph definition: no four vertices induce a path."""
+    for quad in combinations(range(g.n), 4):
+        m = mask_of(quad)
+        degs = sorted((g.adj[v] & m).bit_count() for v in quad)
+        if degs == [1, 1, 2, 2] and mask_connected(g.adj, m):
+            return False
+    return True
+
+
+def test_cograph_elimination_matches_p4_definition():
+    # every labeled graph with n <= 6, disconnected ones included
+    seen = 0
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = from_edge_list(n, [pairs[i] for i in iter_bits(mask)])
+            assert is_cograph(g) == p4_free(g), g.edges()
+            seen += 1
+    assert seen == 33867
+
+
+@st.composite
+def grown_graphs(draw):
+    """Graphs grown vertex by vertex: each new vertex is a pendant, a true
+    or a false twin of an earlier vertex, or takes random earlier
+    neighbours, so members and non-members of both classes are drawn."""
+    n = draw(st.integers(1, 9))
+    adj = [0] * n
+    for v in range(1, n):
+        u = draw(st.integers(0, v - 1))
+        nbrs = draw(st.sampled_from([1 << u, adj[u] | 1 << u, adj[u], draw(st.integers(0, (1 << v) - 1))]))
+        for w in iter_bits(nbrs):
+            adj[w] |= 1 << v
+            adj[v] |= 1 << w
+    return from_edge_list(n, [(u, w) for u in range(n) for w in iter_bits(adj[u]) if u < w])
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=grown_graphs(), data=st.data())
+def test_twin_pendant_elimination_ignores_labels(g, data):
+    # deletions follow vertex labels, so a relabeling changes their order
+    perm = data.draw(st.permutations(range(g.n)))
+    h = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert is_cograph(h) == is_cograph(g)
+    if is_connected(g):
+        assert is_distance_hereditary(h) == is_distance_hereditary(g)
 
 
 def test_is_distance_hereditary_examples():

@@ -67,7 +67,7 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "json_out", None):
+    if args.json_out:
         with open(args.json_out, "w") as fh:
             fh.write(text)
     else:
@@ -160,45 +160,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--budget", type=int, default=SolverConfig.node_budget,
                         help="solver node budget")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--json-out")
 
-    p = sub.add_parser("solve", help="minimum dominating certificate")
+    p = sub.add_parser("solve", parents=[out], help="minimum dominating certificate")
     _add_input_args(p)
     p.add_argument("--kind", choices=("connected", "weakly-convex"),
                    default="weakly-convex")
-    p.add_argument("--json-out")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("classify", help="graph-class report")
+    p = sub.add_parser("classify", parents=[out], help="graph-class report")
     _add_input_args(p)
-    p.add_argument("--json-out")
     p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("gadget", help="emit a named construction")
+    p = sub.add_parser("gadget", parents=[out], help="emit a named construction")
     p.add_argument("name", choices=GADGETS)
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", dest="out_format",
                    choices=GRAPH_FORMATS, default="graph6")
     p.add_argument("--meta", action="store_true", help="print descriptor JSON")
-    p.add_argument("--json-out")
     p.set_defaults(func=cmd_gadget)
 
-    p = sub.add_parser("verify", help="run theorem checks over a corpus")
+    p = sub.add_parser("verify", parents=[out], help="run theorem checks over a corpus")
     p.add_argument("--theorems", help="comma-separated ids (default: all)")
     p.add_argument("--corpus", default="exhaustive:6",
                    help="exhaustive:N | file:PATH | random:family:count:seed"
                         " | gadget:family:k1,k2,...")
-    p.add_argument("--json-out")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep-edges", help="edge-removal records as JSON lines")
+    p = sub.add_parser("sweep-edges", parents=[out], help="edge-removal records as JSON lines")
     _add_input_args(p)
-    p.add_argument("--json-out")
     p.set_defaults(func=cmd_sweep_edges)
 
-    p = sub.add_parser("interpolate", help="spanning-tree spectrum report")
+    p = sub.add_parser("interpolate", parents=[out], help="spanning-tree spectrum report")
     _add_input_args(p)
-    p.add_argument("--json-out")
     p.set_defaults(func=cmd_interpolate)
 
     return parser

@@ -11,8 +11,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import ParameterOutOfRange
-from .graph import Graph, from_edge_list
+from .errors import ParameterOutOfRange, TierExceeded
+from .graph import VERTEX_TIER, Graph, from_edge_list
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,8 @@ def _ladder(k: int, chord: bool) -> tuple[Graph, dict[str, int]]:
 
     Vertices are numbered in cycle order, then the primes x1', v1'..vk', x2'.
     """
+    if 3 * k + 4 > VERTEX_TIER:  # refused before a huge k builds its labels
+        raise TierExceeded(f"vertex count {3 * k + 4} outside 1..{VERTEX_TIER}")
     vs = [f"v{i}" for i in range(1, k + 1)]
     cyc = ["x1", *vs, "x2", *(f"u{i}" for i in range(k, 0, -1))]
     labels = {name: i for i, name in enumerate(cyc + [f"{a}'" for a in ("x1", *vs, "x2")])}

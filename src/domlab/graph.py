@@ -394,12 +394,12 @@ def components(g: Graph) -> list[int]:
     return comps
 
 
-def mask_connected(adj: tuple[int, ...], x: int) -> bool:
-    """True iff the subgraph induced by mask ``x`` is connected (x nonempty)."""
-    if x == 0:
-        return False
-    seen = frontier = x & -x
-    while frontier:
+def _reach(adj: tuple[int, ...], x: int, a: int, goal: int) -> int:
+    """The vertices a BFS inside ``G[x]`` from the mask ``a`` has reached
+    when it stops: once it has reached all of ``goal``, or else at the end
+    of the component(s) of ``a``."""
+    seen = frontier = a
+    while frontier and goal & ~seen:
         nxt = 0
         while frontier:
             b = frontier & -frontier
@@ -407,7 +407,23 @@ def mask_connected(adj: tuple[int, ...], x: int) -> bool:
             frontier ^= b
         frontier = nxt & x & ~seen
         seen |= frontier
-    return seen == x
+    return seen
+
+
+def mask_connected(adj: tuple[int, ...], x: int) -> bool:
+    """True iff the subgraph induced by mask ``x`` is connected (x nonempty)."""
+    return x != 0 and _reach(adj, x, x & -x, x) == x
+
+
+def cut_vertices(adj: tuple[int, ...], x: int) -> int:
+    """The cut vertices of ``G[x]``: each ``v`` with two or more neighbours
+    in ``x`` of which a BFS in ``G[x - v]`` from one misses another."""
+    cut = 0
+    for v in iter_bits(x):
+        nbrs = adj[v] & x
+        if nbrs & (nbrs - 1) and _reach(adj, x ^ 1 << v, nbrs & -nbrs, nbrs) & nbrs != nbrs:
+            cut |= 1 << v
+    return cut
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +437,12 @@ class VertexRoles:
     simplicial: int
 
 
-def _is_simplicial(g: Graph, v: int) -> bool:
-    nbrs = rest = g.adj[v]
+def _is_simplicial(adj: tuple[int, ...], v: int, x: int) -> bool:
+    """True iff the neighbours of ``v`` in ``G[x]`` are pairwise adjacent."""
+    nbrs = rest = adj[v] & x
     while rest:
         b = rest & -rest
-        if nbrs & ~g.adj[b.bit_length() - 1] & ~b:
+        if nbrs & ~adj[b.bit_length() - 1] & ~b:
             return False
         rest ^= b
     return True
@@ -435,60 +452,32 @@ def blocks_and_bridges(g: Graph) -> tuple[list[int], list[tuple[int, int]], int]
     """Biconnected decomposition.
 
     Returns (block vertex masks, bridge edges, articulation-vertex mask).
-    Iterative Hopcroft–Tarjan collects the blocks; isolated vertices form
-    no block. The bridges are the 2-vertex blocks, and the articulation
-    vertices are the vertices in two or more blocks.
+    Two vertices share a block iff they are adjacent or no single vertex
+    separates them, and only a cut vertex separates two vertices. So
+    ``same[u]`` starts as the component of ``u`` and keeps, for each cut
+    vertex ``c``, only ``c`` and the part of ``G - c`` that holds ``u``.
+    Then the block of an edge uv is ``same[u] & same[v]``. Blocks come in
+    the order of their first edge in ``g.edges()``; isolated vertices form
+    no block, and the bridges are the 2-vertex blocks.
     """
-    disc = [-1] * g.n
-    low = [0] * g.n
-    parent = [-1] * g.n
-    pending = list(g.adj)  # the neighbours each vertex has not looked at yet
-    blocks: list[int] = []
-    stack: list[tuple[int, int]] = []  # edge stack
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        work = [root]
-        disc[root] = low[root] = timer
-        timer += 1
-        while work:
-            v = work[-1]
-            rest = pending[v]
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                w = b.bit_length() - 1
-                if disc[w] == -1:
-                    pending[v] = rest
-                    stack.append((v, w))
-                    parent[w] = v
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    work.append(w)
-                    break
-                if w != parent[v] and disc[w] < disc[v]:
-                    stack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            else:  # every neighbour of v is looked at: v is finished
-                work.pop()
-                if work:
-                    u = work[-1]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        # u closes a block: the edges above and including (u, v)
-                        mask = 0
-                        while True:
-                            a, b = stack.pop()
-                            mask |= 1 << a | 1 << b
-                            if a == u and b == v:
-                                break
-                        blocks.append(mask)
+    adj, full = g.adj, g.full_mask
+    cut = cut_vertices(adj, full)
+    same = [0] * g.n
+    for u in range(g.n):
+        if not same[u]:
+            comp = _reach(adj, full, 1 << u, full)
+            for w in iter_bits(comp):
+                same[w] = comp
+    for c in iter_bits(cut):
+        cb = 1 << c
+        nbrs = adj[c]
+        while nbrs:
+            part = _reach(adj, full ^ cb, nbrs & -nbrs, full)
+            nbrs &= ~part
+            for w in iter_bits(part):
+                same[w] &= part | cb
+    blocks = list(dict.fromkeys(same[u] & same[v] for u, v in g.edges()))
     bridges = [tuple(set_to_list(b)) for b in blocks if b.bit_count() == 2]
-    seen = cut = 0
-    for b in blocks:
-        cut |= seen & b
-        seen |= b
     return blocks, bridges, cut
 
 
@@ -497,9 +486,8 @@ def vertex_roles(g: Graph) -> VertexRoles:
     """Leaves, cut vertices and simplicial vertices as masks. Cached for the
     few graphs in hand, since both solves of a ``gamma_pair`` read them."""
     leaves = mask_of(v for v in range(g.n) if g.adj[v].bit_count() == 1)
-    simplicial = mask_of(v for v in range(g.n) if _is_simplicial(g, v))
-    _, _, cut = blocks_and_bridges(g)
-    return VertexRoles(leaves, cut, simplicial)
+    simplicial = mask_of(v for v in range(g.n) if _is_simplicial(g.adj, v, g.full_mask))
+    return VertexRoles(leaves, cut_vertices(g.adj, g.full_mask), simplicial)
 
 
 # ---------------------------------------------------------------------------

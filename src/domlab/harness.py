@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .errors import CorpusReadError, Inconclusive, UnknownTheoremId
+from .errors import CorpusReadError, Inconclusive, ParameterOutOfRange, TierExceeded, UnknownTheoremId
 from .domination import (
     Kind,
     SolverConfig,
@@ -122,6 +122,7 @@ class CorpusSpec:
     @staticmethod
     def parse(text: str) -> "CorpusSpec":
         kind, *rest = text.split(":")
+        reason = ""
         try:
             if kind == "exhaustive" and len(rest) == 1 and 1 <= int(rest[0]) <= EXHAUSTIVE_MAX_N:
                 return CorpusSpec("exhaustive", (int(rest[0]),))
@@ -131,11 +132,15 @@ class CorpusSpec:
                 return CorpusSpec("random", (rest[0], int(rest[1]), int(rest[2])))
             if kind == "gadget" and len(rest) == 2 and rest[0] in GADGET_FAMILIES:
                 ks = tuple(int(x) for x in rest[1].split(","))
+                for k in ks:  # the builders refuse a parameter outside their range
+                    GADGET_FAMILIES[rest[0]](k)
                 return CorpusSpec("gadget", (rest[0], ks))
         except ValueError:
             pass
+        except (ParameterOutOfRange, TierExceeded) as exc:
+            reason = f": {exc}"
         raise CorpusReadError(
-            f"bad corpus spec {text!r} (want exhaustive:N with 1 <= N <= {EXHAUSTIVE_MAX_N},"
+            f"bad corpus spec {text!r}{reason} (want exhaustive:N with 1 <= N <= {EXHAUSTIVE_MAX_N},"
             " file:PATH, random:FAMILY:COUNT:SEED with COUNT >= 1 and FAMILY one of"
             f" {', '.join(RANDOM_FAMILIES)}, or gadget:gap|edge:k1,k2,...)"
         )

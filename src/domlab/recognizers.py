@@ -16,9 +16,11 @@ from .graph import (
     ACYCLIC,
     Graph,
     _Balls,
+    _is_simplicial,
     _weakly_convex,
     blocks_and_bridges,
     bit,
+    cut_vertices,
     girth,
     induced_subgraph,
     is_complete,
@@ -176,25 +178,17 @@ def distance_hereditary_oracle(g: Graph) -> bool:
 
 
 def is_chordal(g: Graph) -> bool:
-    """Maximum cardinality search order checked as a perfect elimination order."""
-    n = g.n
-    weight = [0] * n
-    order = []
-    placed = 0
-    for _ in range(n):
-        v = max((w, -v, v) for v, w in enumerate(weight) if not placed >> v & 1)[2]
-        order.append(v)
-        placed |= bit(v)
-        for u in iter_bits(g.adj[v] & ~placed):
-            weight[u] += 1
-    order.reverse()  # elimination order
-    pos = {v: i for i, v in enumerate(order)}
-    for i, v in enumerate(order):
-        later = mask_of(u for u in iter_bits(g.adj[v]) if pos[u] > i)
-        if later == 0:
-            continue
-        w = min(iter_bits(later), key=lambda u: pos[u])
-        if later & ~bit(w) & ~g.adj[w]:
+    """Simplicial elimination (Dirac 1961): every chordal graph has a
+    simplicial vertex and every induced subgraph of one is chordal, while a
+    vertex of a chordless cycle is never simplicial. So ``g`` is chordal iff
+    deleting simplicial vertices, lowest first, empties it."""
+    x = g.full_mask
+    while x:
+        left = x
+        for v in iter_bits(left):
+            if _is_simplicial(g.adj, v, x):
+                x ^= 1 << v
+        if x == left:
             return False
     return True
 
@@ -379,10 +373,7 @@ def lemma_perfect_conditions(g: Graph) -> tuple[bool, list]:
             hood |= g.adj[v]
         cut_h = cut_of_hood.get(hood)
         if cut_h is None:
-            # H = G[hood] is connected, so its cut vertices are those whose deletion disconnects it
-            cut_h = cut_of_hood[hood] = mask_of(
-                v for v in iter_bits(hood) if not mask_connected(g.adj, hood & ~bit(v))
-            )
+            cut_h = cut_of_hood[hood] = cut_vertices(g.adj, hood)
         if any(
             not cut_h >> cyc[i] & 1 and not cut_h >> cyc[(i + 1) % p] & 1
             for i in range(p)

@@ -12,6 +12,7 @@ from .errors import NotATree, TreeCountCapExceeded
 from .domination import SolverConfig, gamma_pair
 from .graph import (
     Graph,
+    _reach,
     blocks_and_bridges,
     graph6_encode,
     mask_connected,
@@ -63,24 +64,6 @@ class EdgeRemovalRecord:
         return {**vars(self), "edge": list(self.edge), "delta_c": self.delta_c, "delta_wcon": self.delta_wcon}
 
 
-def _reaches(adj: list[int], a: int, b: int) -> bool:
-    """True iff the vertex of bit ``b`` is reachable from the vertex set of
-    mask ``a`` (one vertex or several); the BFS stops at the first layer
-    that touches ``b``."""
-    seen = frontier = a
-    while frontier:
-        nxt = 0
-        while frontier:
-            c = frontier & -frontier
-            nxt |= adj[c.bit_length() - 1]
-            frontier ^= c
-        if nxt & b:
-            return True
-        frontier = nxt & ~seen
-        seen |= frontier
-    return False
-
-
 def _tree_masks(g: Graph) -> Iterator[list[int]]:
     """Adjacency masks of every spanning tree once, grown from vertex 0 by
     edge inclusion and exclusion with bridge forcing (Read & Tarjan,
@@ -88,7 +71,8 @@ def _tree_masks(g: Graph) -> Iterator[list[int]]:
     ``t`` with a host edge into ``t``. The walk branches on the edge from
     the lowest vertex v of ``out`` to its lowest neighbour u in ``t``: the
     trees either contain uv or are trees of the host minus uv. Every vertex
-    stays reachable from ``t`` after uv is excluded exactly when v does.
+    stays reachable from ``t`` after uv is excluded exactly when v does,
+    which a BFS from ``t`` in the host minus uv tests, stopping at v.
     Both mask lists change in place, so a yielded list is valid until the next."""
     require_connected(g)
     n, full = g.n, g.full_mask
@@ -114,7 +98,7 @@ def _tree_masks(g: Graph) -> Iterator[list[int]]:
         host[v] ^= bu
         if near != bu:
             yield from rec(t, out)
-        elif _reaches(host, t, bv):
+        elif _reach(host, full, t, bv) & bv:
             yield from rec(t, out ^ bv)
         host[u] ^= bv
         host[v] ^= bu

@@ -393,6 +393,25 @@ def test_blocks_paw(paw):
     assert len(blocks) == 2 and len(bridges) == 1
 
 
+def test_blocks_match_networkx():
+    nx = pytest.importorskip("networkx")
+    graphs = list(exhaustive_connected(5))
+    rng = random.Random(43)
+    for _ in range(500):
+        n, p = rng.randint(1, 14), rng.random()
+        graphs.append(from_edge_list(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    assert any(not is_connected(g) for g in graphs)
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        blocks, _, _ = blocks_and_bridges(g)
+        assert sorted(blocks) == sorted(mask_of(c) for c in nx.biconnected_components(h)), g.adj
+        # one block per edge, listed in the order of its first edge
+        of_edge = [next(b for b in blocks if b >> u & 1 and b >> v & 1) for u, v in g.edges()]
+        assert blocks == list(dict.fromkeys(of_edge)), g.adj
+
+
 def test_every_edge_in_exactly_one_block():
     rng = random.Random(3)
     for _ in range(40):

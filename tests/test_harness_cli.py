@@ -70,6 +70,19 @@ def test_corpus_spec_parse_errors():
     assert CorpusSpec.parse("random:tree:1:-4").params == ("tree", 1, -4)
 
 
+def test_corpus_spec_refuses_out_of_range_gadgets(capsys):
+    # the gadget builders' own checks run at parse time, before any graph is checked
+    for bad, reason in (("gadget:gap:5", "k >= 6"), ("gadget:gap:6,19", "vertex count 67"),
+                        ("gadget:edge:21", "vertex count 67"), ("gadget:edge:-19", "vertex count 67"),
+                        ("gadget:gap:1000000000000", "vertex count 3000000000010")):
+        with pytest.raises(CorpusReadError, match=f"bad corpus spec '{bad}': .*{reason}"):
+            CorpusSpec.parse(bad)
+    assert CorpusSpec.parse("gadget:gap:18").params == ("gap", (18,))  # n = 64
+    assert CorpusSpec.parse("gadget:edge:20,-18,0").params == ("edge", (20, -18, 0))
+    code, out, err = run_cli(capsys, "verify", "--corpus", "gadget:gap:5")
+    assert code == 2 and out == "" and "bad corpus spec 'gadget:gap:5': gap gadget defined for k >= 6" in err
+
+
 def test_read_graph6_file(tmp_path):
     p = tmp_path / "three.g6"
     p.write_text(

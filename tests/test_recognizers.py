@@ -23,7 +23,6 @@ from domlab.gadgets import (
 )
 from domlab.graph import (
     bit,
-    blocks_and_bridges,
     from_edge_list,
     graph6_decode,
     induced_subgraph,
@@ -145,6 +144,37 @@ def test_is_chordal():
     assert not is_chordal(cycle(5))
     assert is_chordal(h_star().graph)
     assert is_chordal(random_tree(12, 8))
+
+
+def chordality_corpus(data_dir):
+    """``exhaustive:5``, both data files, and seeded random graphs with
+    n <= 12, disconnected ones included."""
+    graphs = list(exhaustive_connected(5))
+    for name in ("connected_n7.g6", "connected_n8.g6"):
+        graphs += read_graph6_file(data_dir / name)
+    rng = random.Random(29)
+    for _ in range(400):
+        n, p = rng.randint(1, 12), rng.random()
+        graphs.append(from_edge_list(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return graphs
+
+
+def test_chordal_elimination_matches_long_induced_cycle_search(data_dir):
+    graphs = chordality_corpus(data_dir)
+    chordal = [is_chordal(g) for g in graphs]
+    assert any(chordal) and not all(chordal)
+    assert any(not is_connected(g) for g in graphs)
+    for g, flag in zip(graphs, chordal):
+        assert flag == (has_induced_cycle_at_least(g, 4) is None), g.adj
+
+
+def test_chordal_elimination_matches_networkx(data_dir):
+    nx = pytest.importorskip("networkx")
+    for g in chordality_corpus(data_dir):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        assert is_chordal(g) == nx.is_chordal(h), g.adj
 
 
 def test_contains_induced():
@@ -288,18 +318,35 @@ def test_lemma_perfect_conditions():
     assert holds
 
 
-def cycle_violations_by_blocks(g):
+def cut_vertices_by_deletion(g, hood):
+    """The cut vertices of the connected H = G[hood], by a plain DFS over
+    neighbour lists: the vertices whose deletion leaves H disconnected."""
+    nbrs = {v: list(iter_bits(g.adj[v] & hood)) for v in iter_bits(hood)}
+    cut = 0
+    for gone in nbrs:
+        start = next(v for v in nbrs if v != gone)
+        seen, todo = {gone, start}, [start]
+        while todo:
+            for w in nbrs[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if len(seen) < len(nbrs):
+            cut |= bit(gone)
+    return cut
+
+
+def cycle_violations_by_deletion(g):
     """Reference for the 5/6-cycle part of ``lemma_perfect_conditions``: the
-    cut vertices of H = G[N[V(C)]] found afresh for every cycle, from the
-    Hopcroft-Tarjan blocks of H built as its own graph."""
+    cut vertices of H = G[N[V(C)]] found afresh for every cycle, by deleting
+    each vertex of H in turn."""
     out = []
     for cyc in enumerate_cycles(g, (5, 6)):
         on_c = mask_of(cyc)
         hood = on_c
         for v in cyc:
             hood |= g.adj[v]
-        h, old = induced_subgraph(g, hood)
-        cut = mask_of(old[v] for v in iter_bits(blocks_and_bridges(h)[2]))
+        cut = cut_vertices_by_deletion(g, hood)
         p = len(cyc)
         if any(not cut >> cyc[i] & 1 and not cut >> cyc[(i + 1) % p] & 1 for i in range(p)):
             continue
@@ -318,7 +365,7 @@ def test_lemma_cycle_conditions_match_per_cycle_reference(data_dir):
     for g in graphs:
         _, violations = lemma_perfect_conditions(g)
         cycle_violations = [v for v in violations if v[0] == "cycle-conditions"]
-        assert cycle_violations == cycle_violations_by_blocks(g), g
+        assert cycle_violations == cycle_violations_by_deletion(g), g
         violated += bool(cycle_violations)
     assert 0 < violated < len(graphs)
 

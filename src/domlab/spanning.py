@@ -64,65 +64,65 @@ class EdgeRemovalRecord:
         return {**vars(self), "edge": list(self.edge), "delta_c": self.delta_c, "delta_wcon": self.delta_wcon}
 
 
-def _tree_masks(g: Graph) -> Iterator[list[int]]:
-    """Adjacency masks of every spanning tree once, grown from vertex 0 by
-    edge inclusion and exclusion with bridge forcing (Read & Tarjan,
-    Networks 1975). The tree spans ``t``; ``out`` holds the vertices outside
-    ``t`` with a host edge into ``t``. The walk branches on the edge from
-    the lowest vertex v of ``out`` to its lowest neighbour u in ``t``: the
-    trees either contain uv or are trees of the host minus uv. Every vertex
-    stays reachable from ``t`` after uv is excluded exactly when v does,
-    which a BFS from ``t`` in the host minus uv tests, stopping at v.
+def _tree_masks(g: Graph) -> Iterator[tuple[list[int], int]]:
+    """Adjacency masks of every spanning tree once, with its count ``low`` of
+    vertices of degree at most 1, grown from vertex 0 by edge inclusion and
+    exclusion with bridge forcing (Read & Tarjan, Networks 1975). The tree
+    spans ``t``; ``out`` holds the vertices outside ``t`` with a host edge
+    into ``t``. The walk branches on the edge from the lowest vertex v of
+    ``out`` to its lowest neighbour u in ``t``: the trees either contain uv or
+    are trees of the host minus uv. Every vertex stays reachable from ``t``
+    after uv is excluded exactly when v does: at once if v keeps an edge into
+    ``t`` or ``out`` (each of whose vertices keeps one into ``t``), never if v
+    has no edge left, else as a BFS from ``t`` in the host minus uv says.
     Both mask lists change in place, so a yielded list is valid until the next."""
     require_connected(g)
     n, full = g.n, g.full_mask
     host, tree = list(g.adj), [0] * n
 
-    def rec(t: int, out: int):
+    def rec(t: int, out: int, low: int):
         if t == full:
             if not mask_connected(tree, full):
                 raise NotATree("enumeration emitted a disconnected edge set")
-            yield tree
+            yield tree, low
             return
         bv = out & -out
         v = bv.bit_length() - 1
         near = host[v] & t
         bu = near & -near
         u = bu.bit_length() - 1
+        # v joins as a leaf; u stops being one if it had one tree edge (not 0)
+        grown = low + 1 - (tree[u].bit_count() == 1)
         tree[u] ^= bv
         tree[v] ^= bu
-        yield from rec(t | bv, (out | host[v]) & ~(t | bv))
+        yield from rec(t | bv, (out | host[v]) & ~(t | bv), grown)
         tree[u] ^= bv
         tree[v] ^= bu
         host[u] ^= bv
         host[v] ^= bu
         if near != bu:
-            yield from rec(t, out)
-        elif _reach(host, full, t, bv) & bv:
-            yield from rec(t, out ^ bv)
+            yield from rec(t, out, low)
+        elif host[v] and (host[v] & out or _reach(host, full, t, bv) & bv):
+            yield from rec(t, out ^ bv, low)
         host[u] ^= bv
         host[v] ^= bu
 
-    yield from rec(1, g.adj[0])
+    yield from rec(1, g.adj[0], 1)
 
 
 def spanning_trees(g: Graph) -> Iterator[Graph]:
     """Every spanning tree exactly once, as a ``Graph``; a graph with more
     than ``TREE_COUNT_CAP`` of them is refused before any is enumerated."""
     _refuse_oversized(g)
-    return (Graph(g.n, tuple(adj)) for adj in _tree_masks(g))
-
-
-def _leaf_formula(adj: list[int] | tuple[int, ...]) -> int:
-    # n minus the leaves (single-bit masks); max covers n <= 2, where it is 1
-    return max(1, len(adj) - sum(a & (a - 1) == 0 for a in adj))
+    return (Graph(g.n, tuple(adj)) for adj, _ in _tree_masks(g))
 
 
 def tree_gamma_wcon(t: Graph) -> int:
-    """Weakly convex domination number of a tree: n minus the leaf count."""
+    """Weakly convex domination number of a tree: n minus the leaf count
+    (the vertices of degree at most 1), and 1 when n <= 2."""
     if not (t.m == t.n - 1 and mask_connected(t.adj, t.full_mask)):
         raise NotATree("tree formula applies to trees only")
-    return _leaf_formula(t.adj)
+    return max(1, t.n - sum(a & (a - 1) == 0 for a in t.adj))
 
 
 def _tree_count(g: Graph) -> int:
@@ -165,7 +165,7 @@ def wcon_spectrum(g: Graph) -> SpectrumReport:
     """Weakly convex numbers over all spanning trees, with interval test;
     refused up front past ``TREE_COUNT_CAP`` trees, like ``spanning_trees``."""
     _refuse_oversized(g)
-    values = sorted(map(_leaf_formula, _tree_masks(g)))
+    values = sorted(max(1, g.n - low) for _, low in _tree_masks(g))
     is_interval = len(set(values)) == values[-1] - values[0] + 1
     return SpectrumReport(graph_digest(g), values, is_interval, len(values))
 

@@ -12,16 +12,18 @@ from domlab.errors import (
 from domlab import spanning
 from domlab.gadgets import (
     complete,
+    corona_k1,
     cycle,
     edge_gap_gadget,
     gap_gadget,
     path,
+    random_cactus,
     random_connected_graph,
     random_tree,
     random_unicyclic,
     star,
 )
-from domlab.graph import from_edge_list, girth, is_connected, raw_distance_matrix, remove_edge
+from domlab.graph import _reach, from_edge_list, girth, is_connected, raw_distance_matrix, remove_edge
 from domlab.harness import exhaustive_connected
 from domlab.spanning import (
     edge_removal_sweep,
@@ -104,8 +106,18 @@ def brute_force_spectrum(g):
     return sorted(values)
 
 
+def shortcut_graphs():
+    """Graphs on which both exclusion shortcuts fire: v is left with no edge,
+    and v is left with edges into ``out`` only."""
+    graphs = [corona_k1(cycle(5)), edge_gap_gadget(1).graph]
+    for seed in range(6):
+        graphs.append(random_cactus(5 + seed, 0.6, seed))
+        graphs.append(random_unicyclic(5 + seed, seed))
+    return graphs
+
+
 def test_spanning_trees_match_brute_force():
-    graphs = list(exhaustive_connected(5))
+    graphs = list(exhaustive_connected(5)) + shortcut_graphs()
     rng = random.Random(23)
     graphs += [hamiltonian_plus_chords(rng, rng.randint(3, 8), rng.randint(0, 6)) for _ in range(30)]
     for g in graphs:
@@ -121,6 +133,21 @@ def test_per_tree_check_is_live(monkeypatch):
         wcon_spectrum(cycle(5))
 
 
+def test_exclusions_mostly_skip_the_bfs(monkeypatch):
+    # graph.mask_connected binds its own _reach, so only exclusion tests count
+    calls = []
+
+    def counting_reach(*args):
+        calls.append(args)
+        return _reach(*args)
+
+    monkeypatch.setattr(spanning, "_reach", counting_reach)
+    assert wcon_spectrum(star(6)).values == [1]
+    assert calls == []  # each excluded pendant edge leaves its leaf no edge
+    assert wcon_spectrum(complete(5)).tree_count == 125
+    assert len(calls) <= 23
+
+
 def test_spanning_tree_cap_covers_wcon_spectrum(monkeypatch):
     monkeypatch.setattr(spanning, "TREE_COUNT_CAP", 100)
     with pytest.raises(TreeCountCapExceeded):
@@ -129,7 +156,7 @@ def test_spanning_tree_cap_covers_wcon_spectrum(monkeypatch):
 
 
 def test_wcon_spectrum_matches_brute_force():
-    graphs = list(exhaustive_connected(5))
+    graphs = list(exhaustive_connected(5)) + shortcut_graphs()
     rng = random.Random(7)
     for seed in range(40):
         graphs.append(random_connected_graph(rng.randint(1, 7), seed))

@@ -44,7 +44,11 @@ from .spanning import edge_removal_sweep, wcon_spectrum
 
 def _read_input(args) -> Graph:
     if args.input == "-":
-        text = sys.stdin.read()
+        try:
+            text = sys.stdin.read()
+        except UnicodeDecodeError as exc:  # a locale whose stdin decoding is strict
+            byte = exc.object[exc.start]
+            raise MalformedGraph6(f"stdin: byte 0x{byte:02x} is not valid {exc.encoding}") from None
     else:
         # as stdin is read: undecodable bytes reach the parser, which refuses them
         with open(args.input, errors="surrogateescape") as fh:

@@ -160,7 +160,9 @@ def graph6_decode(text: str) -> Graph:
     for ch in line:
         code = ord(ch) - 63
         if not 0 <= code <= 63:
-            raise MalformedGraph6(f"byte {ch!r} outside graph6 range")
+            # an undecodable input byte arrives as its surrogate escape
+            shown = f"0x{ord(ch) & 0xFF:02x}" if "\udc80" <= ch <= "\udcff" else repr(ch)
+            raise MalformedGraph6(f"byte {shown} outside graph6 range")
         data.append(code)
     if data[0] == 63:
         if len(data) < 4:

@@ -75,39 +75,58 @@ def _tree_masks(g: Graph) -> Iterator[tuple[list[int], int]]:
     after uv is excluded exactly when v does: at once if v keeps an edge into
     ``t`` or ``out`` (each of whose vertices keeps one into ``t``), never if v
     has no edge left, else as a BFS from ``t`` in the host minus uv says.
-    Both mask lists change in place, so a yielded list is valid until the next."""
+
+    The walk is one loop over an explicit stack. It descends by inclusion
+    until ``t`` spans the graph and yields the tree, then pops branches:
+    popping an inclusion frame takes uv out of ``tree`` and of ``host`` (the
+    graph minus the excluded edges) and, if the exclusion is taken, pushes
+    it back as an exclusion frame (``near`` 0), whose pop puts uv back into
+    ``host``. Each join must add a new vertex v (in ``out``, outside ``t``,
+    with no tree edge yet) by an edge to ``t``, else ``NotATree`` is raised;
+    so the n - 1 joins of every yielded edge set make a spanning tree. Both
+    mask lists change in place: a yielded list is valid only until the next
+    one is yielded."""
     require_connected(g)
-    n, full = g.n, g.full_mask
-    host, tree = list(g.adj), [0] * n
-
-    def rec(t: int, out: int, low: int):
-        if t == full:
-            if not mask_connected(tree, full):
-                raise NotATree("enumeration emitted a disconnected edge set")
-            yield tree, low
+    full = g.full_mask
+    host, tree = list(g.adj), [0] * g.n
+    stack = []
+    push, pop = stack.append, stack.pop
+    t, out, low = 1, g.adj[0], 1
+    while True:
+        while t != full:
+            bv = out & -out
+            v = bv.bit_length() - 1
+            near = host[v] & t
+            if not (bv and near) or bv & t or tree[v]:
+                raise NotATree("enumeration joined no new vertex to the tree")
+            bu = near & -near
+            u = bu.bit_length() - 1
+            push((t, out, low, near, u, v, bu, bv))
+            # v joins as a leaf; u stops being one if it had one tree edge (not 0)
+            low += 1 - (tree[u].bit_count() == 1)
+            tree[u] ^= bv
+            tree[v] ^= bu
+            t |= bv
+            out = (out | host[v]) & ~t
+        yield tree, low
+        while stack:
+            t, out, low, near, u, v, bu, bv = pop()
+            host[u] ^= bv
+            host[v] ^= bu
+            if not near:  # an exclusion frame: uv is back in host
+                continue
+            tree[u] ^= bv
+            tree[v] ^= bu
+            if near == bu:
+                if not (host[v] and (host[v] & out or _reach(host, full, t, bv) & bv)):
+                    host[u] ^= bv
+                    host[v] ^= bu
+                    continue
+                out ^= bv
+            push((t, out, low, 0, u, v, bu, bv))
+            break
+        else:
             return
-        bv = out & -out
-        v = bv.bit_length() - 1
-        near = host[v] & t
-        bu = near & -near
-        u = bu.bit_length() - 1
-        # v joins as a leaf; u stops being one if it had one tree edge (not 0)
-        grown = low + 1 - (tree[u].bit_count() == 1)
-        tree[u] ^= bv
-        tree[v] ^= bu
-        yield from rec(t | bv, (out | host[v]) & ~(t | bv), grown)
-        tree[u] ^= bv
-        tree[v] ^= bu
-        host[u] ^= bv
-        host[v] ^= bu
-        if near != bu:
-            yield from rec(t, out, low)
-        elif host[v] and (host[v] & out or _reach(host, full, t, bv) & bv):
-            yield from rec(t, out ^ bv, low)
-        host[u] ^= bv
-        host[v] ^= bu
-
-    yield from rec(1, g.adj[0], 1)
 
 
 def spanning_trees(g: Graph) -> Iterator[Graph]:

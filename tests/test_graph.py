@@ -79,6 +79,16 @@ def test_graph6_empty_is_error():
         graph6_decode("")
 
 
+def test_graph6_names_the_byte_outside_range():
+    # an undecodable byte reaches the decoder surrogate-escaped, as files are read
+    with pytest.raises(MalformedGraph6, match=r"^byte 0xff outside graph6 range$"):
+        graph6_decode(b"\xff\xfe".decode("utf-8", "surrogateescape"))
+    with pytest.raises(MalformedGraph6, match=r"^byte ' ' outside graph6 range$"):
+        graph6_decode("B w")
+    with pytest.raises(MalformedGraph6, match=r"^byte '\xe9' outside graph6 range$"):
+        graph6_decode("B\xe9")
+
+
 def test_graph6_refuses_set_padding_bits():
     assert graph6_decode("Bw") == cycle(3)
     assert graph6_decode("C~") == complete(4)  # six edge bits, no padding

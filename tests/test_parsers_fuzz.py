@@ -5,6 +5,10 @@ each such error into exit 2 with a message."""
 import argparse
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -113,3 +117,27 @@ def test_cli_malformed_file_bytes_exit_2(byte_file, raw, route):
     code, out, err = run_cli(argv(byte_file))
     assert code == 2 and out == "", (route, raw)
     assert err.startswith("error: ") and "Traceback" not in err, (route, raw)
+
+
+def test_cli_names_an_undecodable_file_byte(byte_file):
+    with open(byte_file, "wb") as fh:
+        fh.write(b"\xff\xfe\n")
+    for argv in (["solve", "--input", byte_file], ["verify", f"--corpus=file:{byte_file}"]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and err.endswith("byte 0xff outside graph6 range\n"), (argv, err)
+
+
+@pytest.mark.parametrize("fmt", ["graph6", "edgelist"])
+def test_cli_undecodable_stdin_strict_locale_exit_2(fmt):
+    """A locale whose stdin decoding is strict (en_US.UTF-8, say) refuses
+    the bytes before any parser sees them; that is an input error too."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "domlab.cli", "solve", "--format", fmt],
+        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8:strict"},
+        input=b"\xff\xfe\n", capture_output=True, timeout=60,
+    )
+    err = result.stderr.decode()
+    assert result.returncode == 2 and result.stdout == b"", err
+    assert err.startswith("error: ") and "Traceback" not in err, err

@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 from itertools import combinations
 
 import pytest
@@ -127,10 +129,35 @@ def test_spanning_trees_match_brute_force():
         assert len(found) == spanning._tree_count(g)
 
 
+def faulty_walk(correct: str, faulty: str):
+    """``spanning._tree_masks`` with one line of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(spanning._tree_masks))
+    assert source.count(correct) == 1, correct
+    namespace = dict(vars(spanning))
+    exec(source.replace(correct, faulty), namespace)
+    return namespace["_tree_masks"]
+
+
 def test_per_tree_check_is_live(monkeypatch):
-    monkeypatch.setattr(spanning, "mask_connected", lambda adj, x: False)
+    """Walk faults raise NotATree at the first bad join: not a hang, a
+    RecursionError or an IndexError, and not a wrong tree."""
+    # the exclusion BFS reports everything reachable: on the path 3-0-1-2 the
+    # excluded edge 01 leaves 1 reachable by no edge, and ``out`` runs dry
+    calls = []
+    monkeypatch.setattr(spanning, "_reach", lambda adj, x, a, goal: calls.append(a) or x)
     with pytest.raises(NotATree):
-        wcon_spectrum(cycle(5))
+        wcon_spectrum(from_edge_list(4, [(0, 1), (0, 3), (1, 2)]))
+    assert calls
+    monkeypatch.undo()
+    faults = [
+        # ``out`` keeps the tree's vertices, so the lowest of it is vertex 0
+        ("out = (out | host[v]) & ~t", "out = out | host[v]"),
+        # backtracking keeps the tree edge uv, so v rejoins with a tree edge
+        ("tree[u] ^= bv\n            tree[v] ^= bu\n            if near", "if near"),
+    ]
+    for correct, faulty in faults:
+        with pytest.raises(NotATree):
+            list(faulty_walk(correct, faulty)(complete(4)))
 
 
 def test_exclusions_mostly_skip_the_bfs(monkeypatch):

@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import Disconnected, EmptySet, Inconclusive, ParameterOutOfRange, TierExceeded
 from .graph import (
     Graph,
+    _Balls,
     _distance_balls,
     _weakly_convex,
     diameter,
@@ -131,6 +132,26 @@ class _BudgetSpent(Exception):
     """Unwinds the search once the node budget is used up."""
 
 
+def _forced_pair_floor(balls: _Balls, forced: int) -> int:
+    """A lower bound on any weakly convex set that holds ``forced``: it has a
+    geodesic between each two forced vertices a, b at distance d, with one
+    vertex in each interior layer I_i = {v : d(a, v) = i, d(v, b) = d - i},
+    0 < i < d. The layers are disjoint, so each one with no forced vertex
+    costs a vertex of its own. By the triangle inequality, I_i is the
+    intersection of the balls of radius i about a and d - i about b."""
+    most = 0
+    rest = forced
+    while rest:
+        a = rest & -rest
+        rest ^= a
+        around_a = balls[a.bit_length() - 1]
+        for b in iter_bits(rest):
+            around_b = balls[b]
+            d = next(i for i, ball in enumerate(around_a) if ball >> b & 1)
+            most = max(most, sum(1 for i in range(1, d) if not around_a[i] & around_b[d - i] & forced))
+    return forced.bit_count() + most
+
+
 def _solve_minimum(
     g: Graph, kind: Kind, cfg: SolverConfig, floor: int = 1
 ) -> DominationCertificate:
@@ -145,10 +166,33 @@ def _solve_minimum(
     set dominates exactly when it covers every vertex.  A layer is searched
     in full, so the certificate is the smallest bit mask of all minimum sets.
 
-    The first layer is the largest of ``floor``, the number of forced
-    vertices and diam - 1, each a lower bound on the minimum size; the
-    caller vouches for ``floor``. ``nodes_expanded`` counts the nodes of the
-    layers searched here.
+    Three bounds cut only subtrees that hold no feasible ``k``-set:
+
+    - capacity: a member after the root joins from the frontier, so it and
+      a neighbour of it in ``S`` are dominated already, and it dominates at
+      most deg - 1 new vertices. With ``cap[r]`` the sum of the ``r``
+      largest values of deg - 1, a node with more than ``cap[k - size]``
+      undominated vertices is cut.
+    - the closed last slot: the last member must dominate every vertex
+      still undominated, so its candidates are the frontier (or the one
+      forced vertex still missing) cut to N[u] for each such u. They are
+      tried lowest first, with no node of their own.
+    - forced-pair geodesics, for gamma_wcon only: see
+      :func:`_forced_pair_floor`.
+
+    The first layer is the largest of these lower bounds on the minimum
+    size; the caller vouches for ``floor``:
+
+    - the number of forced vertices, which every connected dominating set
+      holds;
+    - diam - 1: the set holds a path between a dominator of each of two
+      farthest vertices, and those dominators are diam - 2 or more apart;
+    - the least ``k`` with max |N[v]| + cap[k - 1] >= n, since the root
+      dominates at most max |N[v]| vertices;
+    - for gamma_wcon, :func:`_forced_pair_floor`.
+
+    ``nodes_expanded`` counts the nodes of the layers searched here; a
+    last-slot candidate is not a node.
     """
     require_connected(g)
     n = g.n
@@ -164,6 +208,8 @@ def _solve_minimum(
     closed = [a | 1 << v for v, a in enumerate(adj)]
     full = g.full_mask
     balls = _distance_balls(g) if kind is Kind.WEAKLY_CONVEX else None
+    gains = sorted((a.bit_count() - 1 for a in adj), reverse=True)
+    cap = [0, *accumulate(gains)]
     budget = cfg.node_budget
     nodes = 0
     no_hit = full + 1  # above every vertex set
@@ -178,8 +224,10 @@ def _solve_minimum(
         # every extension of s is a larger bit mask than s | forced
         if s | forced >= best:
             return
-        if size == k:
-            if cover == full and (balls is None or _weakly_convex(adj, balls, s)):
+        if (full ^ cover).bit_count() > cap[k - size]:
+            return
+        if size == k:  # only a root, at k = 1; the last slot is closed below
+            if balls is None or _weakly_convex(adj, balls, s):
                 best = s
             return
         if size + (forced & ~s).bit_count() > k:
@@ -187,6 +235,21 @@ def _solve_minimum(
         # a forced vertex is never banned, so one on the frontier is the only branch
         pending = frontier & forced
         branches = pending & -pending or frontier
+        if size == k - 1:
+            lack = full ^ cover
+            while lack and branches:
+                u = lack & -lack
+                lack ^= u
+                branches &= closed[u.bit_length() - 1]
+            while branches:
+                b = branches & -branches
+                if s | b >= best:
+                    return
+                if balls is None or _weakly_convex(adj, balls, s | b):
+                    best = s | b
+                    return
+                branches ^= b
+            return
         while branches:
             b = branches & -branches
             v = b.bit_length() - 1
@@ -209,7 +272,11 @@ def _solve_minimum(
     reach = [0] * (n + 1)
     for v in reversed(range(n)):
         reach[v] = reach[v + 1] if excluded >> v & 1 else reach[v + 1] | closed[v]
-    for k in range(max(floor, forced.bit_count(), diameter(g) - 1), n + 1):
+    first = next(k for k in range(1, n + 1) if gains[0] + 2 + cap[k - 1] >= n)
+    first = max(first, floor, forced.bit_count(), diameter(g) - 1)
+    if balls is not None:
+        first = max(first, _forced_pair_floor(balls, forced))
+    for k in range(first, n + 1):
         try:
             for root in roots:
                 r = root.bit_length() - 1

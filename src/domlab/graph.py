@@ -149,6 +149,15 @@ def graph6_lines(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
+def _shown(text: str) -> str:
+    """Input text for an error message. An undecodable input byte arrives as
+    its surrogate escape; text holding one is shown as its bytes, 0xNN
+    each, and any other text as its ``repr``."""
+    if any("\udc80" <= ch <= "\udcff" for ch in text):
+        return " ".join(f"0x{byte:02x}" for byte in text.encode("utf-8", "surrogateescape"))
+    return repr(text)
+
+
 def graph6_decode(text: str) -> Graph:
     """Decode one graph6 line (a ``>>graph6<<`` prefix is tolerated)."""
     line = text.strip()
@@ -160,9 +169,7 @@ def graph6_decode(text: str) -> Graph:
     for ch in line:
         code = ord(ch) - 63
         if not 0 <= code <= 63:
-            # an undecodable input byte arrives as its surrogate escape
-            shown = f"0x{ord(ch) & 0xFF:02x}" if "\udc80" <= ch <= "\udcff" else repr(ch)
-            raise MalformedGraph6(f"byte {shown} outside graph6 range")
+            raise MalformedGraph6(f"byte {_shown(ch)} outside graph6 range")
         data.append(code)
     if data[0] == 63:
         if len(data) < 4:
@@ -201,7 +208,7 @@ def _int_pair(line: str, what: str) -> tuple[int, int]:
     try:
         u, v = map(int, line.split())
     except ValueError:  # a non-integer token, or not exactly two
-        raise MalformedGraph6(f"bad {what} {line!r}: want two integers") from None
+        raise MalformedGraph6(f"bad {what} {_shown(line)}: want two integers") from None
     return u, v
 
 

@@ -26,6 +26,8 @@ from domlab.gadgets import (
     gap_gadget,
     h_star,
     path,
+    random_cactus,
+    random_connected_graph,
     random_tree,
     star,
 )
@@ -193,6 +195,9 @@ def test_solver_agrees_with_oracle_random(cfg):
     for trial in range(30):
         n = rng.randint(6, 11)
         graphs.append(hamiltonian_plus_chords(rng, n, rng.randint(0, n)))
+    # cut vertices, so forced pairs whose geodesics bound the first layer
+    graphs += [random_cactus(rng.randint(5, 12), 0.6, seed) for seed in range(20)]
+    graphs += [corona_k1(random_connected_graph(rng.randint(2, 6), seed)) for seed in range(10)]
     for g in graphs:
         oracle = {kind: all_minimum_sets_oracle(g, kind) for kind in Kind}
         # gamma_wcon solved first, with no gamma_c certificate in the cache
@@ -234,10 +239,47 @@ def test_wcon_search_keeps_its_own_budget():
     g = gap_gadget(8).graph
     cfg = SolverConfig(node_budget=100)
     c = minimum_connected_dominating(g, cfg)
-    assert c.optimal and c.nodes_expanded == 12
+    assert c.optimal and c.nodes_expanded == 11
     w = minimum_wcon_dominating(g, cfg)
     assert not w.optimal and is_wcon_dominating(g, w.set)
     assert w.nodes_expanded <= cfg.node_budget + 1
+
+
+def test_wcon_search_on_gap_gadgets_is_bounded(cfg):
+    # the capacity, last-slot and forced-pair bounds cut the layers from
+    # gamma_c up to gamma_wcon - 1, which hold no weakly convex set
+    nodes = 0
+    for k in (6, 7, 8):
+        w = minimum_wcon_dominating(gap_gadget(k).graph, cfg)
+        assert w.optimal and w.value == 2 * k + 4
+        nodes += w.nodes_expanded
+    assert nodes < 2_000
+
+
+def test_certificates_survive_relabelling_past_oracle_tier(cfg):
+    """A vertex permutation moves the roots, the forced and banned vertices
+    and the smallest-mask tie-break, so each relabelled solve is a different
+    search; its value must not move, and its certificate, mapped back, must
+    qualify in the original graph."""
+    rng = random.Random(2029)
+    n = 20
+    for _ in range(4):
+        g = hamiltonian_plus_chords(rng, n, 9)
+        while g.m != 29:  # a chord that repeats an edge collapses
+            g = hamiltonian_plus_chords(rng, n, 9)
+        for solver, predicate in (
+            (minimum_connected_dominating, is_connected_dominating),
+            (minimum_wcon_dominating, is_wcon_dominating),
+        ):
+            cert = solver(g, cfg)
+            assert cert.optimal and predicate(g, cert.set)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                relabelled = solver(from_edge_list(n, [(perm[u], perm[v]) for u, v in g.edges()]), cfg)
+                back = mask_of(v for v in range(n) if relabelled.set >> perm[v] & 1)
+                assert relabelled.optimal and relabelled.value == cert.value
+                assert back.bit_count() == cert.value and predicate(g, back)
 
 
 @pytest.mark.parametrize("g6, wcon_searches", [("GkOMGG", 1), ("FrGGG", 0)])

@@ -119,25 +119,48 @@ def test_cli_malformed_file_bytes_exit_2(byte_file, raw, route):
     assert err.startswith("error: ") and "Traceback" not in err, (route, raw)
 
 
+UNDECODABLE_SHOWN = {"graph6": "byte 0xff outside graph6 range\n",
+                     "edgelist": "bad edge-list header 0xff 0xfe: want two integers\n"}
+
+
 def test_cli_names_an_undecodable_file_byte(byte_file):
     with open(byte_file, "wb") as fh:
         fh.write(b"\xff\xfe\n")
-    for argv in (["solve", "--input", byte_file], ["verify", f"--corpus=file:{byte_file}"]):
+    for argv, shown in ((["solve", "--input", byte_file], "graph6"),
+                        (["verify", f"--corpus=file:{byte_file}"], "graph6"),
+                        (["solve", "--format", "edgelist", "--input", byte_file], "edgelist")):
         code, out, err = run_cli(argv)
-        assert code == 2 and err.endswith("byte 0xff outside graph6 range\n"), (argv, err)
+        assert code == 2 and err.endswith(UNDECODABLE_SHOWN[shown]), (argv, err)
+        assert "\\udc" not in ascii(err), (argv, err)
+
+
+def solve_undecodable_stdin(fmt: str, encoding: str) -> subprocess.CompletedProcess:
+    """``domlab solve`` in a fresh interpreter, fed undecodable bytes on a
+    stdin decoded as ``encoding`` (a ``PYTHONIOENCODING`` value)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "domlab.cli", "solve", "--format", fmt],
+        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": encoding},
+        input=b"\xff\xfe\n", capture_output=True, timeout=60,
+    )
 
 
 @pytest.mark.parametrize("fmt", ["graph6", "edgelist"])
 def test_cli_undecodable_stdin_strict_locale_exit_2(fmt):
     """A locale whose stdin decoding is strict (en_US.UTF-8, say) refuses
     the bytes before any parser sees them; that is an input error too."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-m", "domlab.cli", "solve", "--format", fmt],
-        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8:strict"},
-        input=b"\xff\xfe\n", capture_output=True, timeout=60,
-    )
+    result = solve_undecodable_stdin(fmt, "utf-8:strict")
     err = result.stderr.decode()
     assert result.returncode == 2 and result.stdout == b"", err
     assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("fmt", ["graph6", "edgelist"])
+def test_cli_undecodable_stdin_names_its_bytes(fmt):
+    """A stdin that escapes undecodable bytes (the C locale, say) hands them
+    to the parser, which names them as 0xNN, not as surrogate escapes."""
+    result = solve_undecodable_stdin(fmt, "utf-8:surrogateescape")
+    err = result.stderr.decode("utf-8", "backslashreplace")
+    assert result.returncode == 2 and result.stdout == b"", err
+    assert err == "error: " + UNDECODABLE_SHOWN[fmt] and "\\udc" not in err, err

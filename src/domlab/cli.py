@@ -1,5 +1,5 @@
-"""Command-line entry point: solve, classify, gadget, verify, sweep-edges,
-interpolate.  Exit codes: 0 success, 1 verification failure, 2 input error
+"""Command-line entry point: solve, classify, sweep-edges, interpolate,
+gadget, verify.  Exit codes: 0 success, 1 verification failure, 2 input error
 or a budget-truncated value outside ``verify``, 3 verification INCONCLUSIVE."""
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ def _read_input(args) -> Graph:
     return parse_edge_list(text)
 
 
-def _add_input_args(p):
-    p.add_argument("--input", default="-", help="path or - for stdin")
-    p.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
-
-
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(node_budget=args.budget)
 
@@ -78,21 +73,27 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def cmd_solve(args) -> int:
-    g = _read_input(args)
-    solver = {
-        "connected": minimum_connected_dominating,
-        "weakly-convex": minimum_wcon_dominating,
-    }[args.kind]
-    cert = solver(g, _solver_config(args))
-    _emit(args, json.dumps(cert.to_json_dict(g), sort_keys=True) + "\n")
-    return 0
+def _certificate(g: Graph, args) -> dict:
+    solver = minimum_connected_dominating if args.kind == "connected" else minimum_wcon_dominating
+    return solver(g, _solver_config(args)).to_json_dict(g)
 
 
-def cmd_classify(args) -> int:
+# name -> (help, function from (graph, args) to the JSON records printed);
+# like GADGETS, each callee is looked up when called
+GRAPH_COMMANDS = {
+    "solve": ("minimum dominating certificate", lambda g, args: [_certificate(g, args)]),
+    "classify": ("graph-class report", lambda g, args: [classify(g).to_json_dict()]),
+    "sweep-edges": ("edge-removal records as JSON lines",
+                    lambda g, args: [r.to_json_dict() for r in edge_removal_sweep(g, _solver_config(args))]),
+    "interpolate": ("spanning-tree spectrum report",
+                    lambda g, args: [wcon_spectrum(g).to_json_dict()]),
+}
+
+
+def cmd_graph(args) -> int:
     g = _read_input(args)
-    report = classify(g)
-    _emit(args, json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+    records = GRAPH_COMMANDS[args.command][1](g, args)
+    _emit(args, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
     return 0
 
 
@@ -142,20 +143,6 @@ def cmd_verify(args) -> int:
     return 1 if "FAIL" in statuses else 3 if "INCONCLUSIVE" in statuses else 0
 
 
-def cmd_sweep_edges(args) -> int:
-    g = _read_input(args)
-    records = edge_removal_sweep(g, _solver_config(args))
-    _emit(args, "".join(json.dumps(r.to_json_dict(), sort_keys=True) + "\n" for r in records))
-    return 0
-
-
-def cmd_interpolate(args) -> int:
-    g = _read_input(args)
-    report = wcon_spectrum(g)
-    _emit(args, json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="domlab",
@@ -167,15 +154,16 @@ def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--json-out")
 
-    p = sub.add_parser("solve", parents=[out], help="minimum dominating certificate")
-    _add_input_args(p)
-    p.add_argument("--kind", choices=("connected", "weakly-convex"),
-                   default="weakly-convex")
-    p.set_defaults(func=cmd_solve)
+    graph_in = argparse.ArgumentParser(add_help=False)
+    graph_in.add_argument("--input", default="-", help="path or - for stdin")
+    graph_in.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
 
-    p = sub.add_parser("classify", parents=[out], help="graph-class report")
-    _add_input_args(p)
-    p.set_defaults(func=cmd_classify)
+    for name, (help_text, _) in GRAPH_COMMANDS.items():
+        p = sub.add_parser(name, parents=[out, graph_in], help=help_text)
+        p.set_defaults(func=cmd_graph)
+        if name == "solve":
+            p.add_argument("--kind", choices=("connected", "weakly-convex"),
+                           default="weakly-convex")
 
     p = sub.add_parser("gadget", parents=[out], help="emit a named construction")
     p.add_argument("name", choices=GADGETS)
@@ -193,14 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                         " | gadget:family:k1,k2,...")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep-edges", parents=[out], help="edge-removal records as JSON lines")
-    _add_input_args(p)
-    p.set_defaults(func=cmd_sweep_edges)
-
-    p = sub.add_parser("interpolate", parents=[out], help="spanning-tree spectrum report")
-    _add_input_args(p)
-    p.set_defaults(func=cmd_interpolate)
-
     return parser
 
 
@@ -209,10 +189,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DomlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DomlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,6 @@ from .graph import (
     _weakly_convex,
     diameter,
     graph6_encode,
-    is_complete,
     iter_bits,
     mask_connected,
     require_connected,
@@ -157,6 +156,11 @@ def _solve_minimum(
 ) -> DominationCertificate:
     """Size-layered search that only ever builds connected vertex sets.
 
+    k = 1: a universal vertex is a minimum set of either kind, so the lowest
+    one is returned with 0 nodes. Any other connected graph has n >= 3 and
+    is not complete, so its cut vertices are forced into, and its simplicial
+    vertices kept out of, every minimum set, and each layer has k >= 2.
+
     Layer ``k`` enumerates each connected ``k``-set that holds every forced
     vertex and no excluded one exactly once (ESU-style extension): a set
     grows from its root by include/ban branching on its frontier
@@ -196,17 +200,13 @@ def _solve_minimum(
     """
     require_connected(g)
     n = g.n
-    if n == 1:
-        return DominationCertificate(1, kind, 1, True)
-    forced, excluded = 0, 0
-    if n >= 3 and not is_complete(g):
-        # cut vertices are forced into, simplicial vertices out of, any
-        # minimum set; valid for connected G != K_n with n >= 3
-        roles = vertex_roles(g)
-        forced, excluded = roles.cut_vertices, roles.simplicial
     adj = g.adj
     closed = [a | 1 << v for v, a in enumerate(adj)]
     full = g.full_mask
+    if full in closed:
+        return DominationCertificate(1 << closed.index(full), kind, 1, True)
+    roles = vertex_roles(g)
+    forced, excluded = roles.cut_vertices, roles.simplicial
     balls = _distance_balls(g) if kind is Kind.WEAKLY_CONVEX else None
     gains = sorted((a.bit_count() - 1 for a in adj), reverse=True)
     cap = [0, *accumulate(gains)]
@@ -225,10 +225,6 @@ def _solve_minimum(
         if s | forced >= best:
             return
         if (full ^ cover).bit_count() > cap[k - size]:
-            return
-        if size == k:  # only a root, at k = 1; the last slot is closed below
-            if balls is None or _weakly_convex(adj, balls, s):
-                best = s
             return
         if size + (forced & ~s).bit_count() > k:
             return
@@ -313,20 +309,17 @@ def minimum_wcon_dominating(
     """Starts from the gamma_c certificate of ``g``: a weakly convex set
     induces an isometric, so connected, subgraph, so gamma_c <= gamma_wcon.
 
-    If that certificate is optimal and weakly convex, it is also the
-    smallest weakly convex dominating mask of size gamma_c and is returned
-    with 0 nodes. Otherwise the search starts at layer gamma_c, not
-    gamma_c + 1, since another set of that size may be weakly convex; its
-    ``nodes_expanded`` counts only its own layers. A gamma_c search that the
-    budget cut short gives no lower bound, so the search then starts where
-    the gamma_c search did. Each search has its own node budget.
+    Two paths: if that certificate is optimal and weakly convex, it is also
+    the smallest weakly convex dominating mask of size gamma_c and is
+    returned with 0 nodes. Otherwise one search runs on its own node budget,
+    and its ``nodes_expanded`` counts only its own layers. Its floor is
+    gamma_c, not gamma_c + 1, since another set of that size may be weakly
+    convex, or 1 when the budget cut the gamma_c search short.
     """
     c = _connected_certificate(g, cfg)
-    if not c.optimal:
-        return _solve_minimum(g, Kind.WEAKLY_CONVEX, cfg)
-    if _weakly_convex(g.adj, _distance_balls(g), c.set):
+    if c.optimal and _weakly_convex(g.adj, _distance_balls(g), c.set):
         return DominationCertificate(c.set, Kind.WEAKLY_CONVEX, c.value, True, 0)
-    return _solve_minimum(g, Kind.WEAKLY_CONVEX, cfg, floor=c.value)
+    return _solve_minimum(g, Kind.WEAKLY_CONVEX, cfg, floor=c.value if c.optimal else 1)
 
 
 @lru_cache(maxsize=1 << 18)

@@ -507,6 +507,8 @@ def induced_subgraph(g: Graph, x: int) -> tuple[Graph, list[int]]:
     """Subgraph induced by mask ``x`` plus the new→old index map."""
     if x == 0:
         raise EmptySet("induced subgraph of the empty set")
+    if x & ~g.full_mask:
+        raise IndexOutOfRange(f"mask {x:#x} holds vertices outside 0..{g.n - 1}")
     old = set_to_list(x)
     pos = {v: i for i, v in enumerate(old)}
     adj = [0] * len(old)
@@ -517,6 +519,8 @@ def induced_subgraph(g: Graph, x: int) -> tuple[Graph, list[int]]:
 
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise IndexOutOfRange(f"edge ({u},{v}) outside 0..{g.n - 1}")
     if not g.has_edge(u, v):
         raise NoSuchEdge(f"no edge ({u},{v})")
     adj = list(g.adj)
@@ -526,12 +530,7 @@ def remove_edge(g: Graph, u: int, v: int) -> Graph:
 
 
 def add_edge(g: Graph, u: int, v: int) -> Graph:
-    if u == v:
-        raise SelfLoop(f"self-loop at vertex {u}")
-    adj = list(g.adj)
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
-    return Graph(g.n, tuple(adj))
+    return from_edge_list(g.n, [*g.edges(), (u, v)])
 
 
 def require_connected(g: Graph) -> None:

@@ -341,6 +341,14 @@ def test_budget_exceeded_yields_flagged_upper_bound():
             cert = solver(g, cfg)
             assert not cert.optimal and predicate(g, cert.set)
             assert cert.nodes_expanded <= budget + 1
+    # a gamma_c search cut short before any hit bounds nothing from below: the
+    # leaves of this 13-vertex unicyclic graph are kept out of every layer, so
+    # a gamma_wcon search from layer n would find no set at all
+    g = graph6_decode("LsHKA?AA?_?O?O")
+    cfg = SolverConfig(node_budget=10)
+    assert minimum_connected_dominating(g, cfg).set == g.full_mask
+    cert = minimum_wcon_dominating(g, cfg)
+    assert not cert.optimal and is_wcon_dominating(g, cert.set)
 
 
 def test_node_budget_must_be_positive():
@@ -365,6 +373,24 @@ def test_gamma_c_is_min_of_wcon_spectrum_past_oracle_tier(cfg):
         cert = minimum_connected_dominating(g, cfg)
         assert cert.optimal
         assert min(wcon_spectrum(g).values) == cert.value
+
+
+def test_universal_vertex_is_the_certificate(cfg, monkeypatch):
+    """k = 1: the lowest universal vertex is the certificate of either kind,
+    found with no search node and no vertex-role pass."""
+    roles = []
+    real_roles = domination.vertex_roles
+    monkeypatch.setattr(domination, "vertex_roles", lambda g: roles.append(g) or real_roles(g))
+    domination._connected_certificate.cache_clear()
+    full = [g for g in exhaustive_connected(5) if any(a | 1 << v == g.full_mask for v, a in enumerate(g.adj))]
+    assert len(full) == 285
+    wheel = from_edge_list(7, [(v, (v + 1) % 6) for v in range(6)] + [(v, 6) for v in range(6)])
+    for g in (*full, complete(1), complete(2), complete(5), star(6), wheel):
+        lowest = next(v for v, a in enumerate(g.adj) if a | 1 << v == g.full_mask)
+        for solver in (minimum_connected_dominating, minimum_wcon_dominating):
+            cert = solver(g, cfg)
+            assert (cert.set, cert.value, cert.optimal, cert.nodes_expanded) == (bit(lowest), 1, True, 0)
+    assert roles == []
 
 
 def test_pruning_disabled_on_complete_graphs(cfg):

@@ -455,6 +455,17 @@ def test_remove_edge():
         remove_edge(path(3), 0, 2)
 
 
+def test_graph_edits_check_vertex_range():
+    p4 = path(4)
+    for edit, args in ((add_edge, (-1, 1)), (add_edge, (0, 9)), (remove_edge, (-1, 2)),
+                       (remove_edge, (3, 4)), (induced_subgraph, (1 << 9,)),
+                       (induced_subgraph, (-1,))):
+        with pytest.raises(IndexOutOfRange, match=r"outside 0\.\.3"):
+            edit(p4, *args)
+    with pytest.raises(SelfLoop, match="self-loop at vertex 2"):
+        add_edge(p4, 2, 2)
+
+
 def test_remove_edge_immutability_and_readd():
     g = cycle(5)
     h = remove_edge(g, 0, 1)

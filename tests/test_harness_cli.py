@@ -501,6 +501,47 @@ def test_cli_sweep_and_interpolate(tmp_path, capsys):
     assert code == 0 and d["values"] == [3, 3, 3, 3, 3] and d["is_interval"]
 
 
+# sha256 of each graph subcommand's output on two graphs: a refactor of the
+# read-compute-print path must leave these bytes as they are
+CLI_OUTPUT_SHA256 = {
+    ("cycle7", "solve --kind connected"): "a8ede7efb939337537de4a9bef093873ccc7b67d85b6daef86a3a002a3c13568",
+    ("cycle7", "solve --kind weakly-convex"): "276f88b524dfca9299623ca83d938b2db351c2c2cbbb591cb5004817bef5b942",
+    ("cycle7", "classify"): "989850a5ac137af0771ef9fbaaaaa52eb0739bb241199886762f152a88bd9064",
+    ("cycle7", "sweep-edges"): "d3f06fd677d3b0bed0e56f03ed5bc53cf5ceaff3e3a683281e987c057b3389e3",
+    ("cycle7", "interpolate"): "830ce9322299b982ed4a067ce50e7b6fef45455744f6c8f9e840720ca40b4efc",
+    ("gap6", "solve --kind connected"): "d332d5a2ff782fb07be46ff422cdc73095b4dbfd7363a72d4ed469d047f884ac",
+    ("gap6", "solve --kind weakly-convex"): "2f033d4654e5eba2a66bce79fa9f487fa6385a9caad390820bf0cddddf1d21ef",
+    ("gap6", "classify"): "2071647595fa6b64910d1d4051a803fbdbc44cb743da2d273e08e14fe171f4a6",
+    ("gap6", "sweep-edges"): "d91a6af1d60cee082ad2a3118c368ee24af4a38943e0616dc9e921fa94b37ad7",
+    ("gap6", "interpolate"): "c399d7f0d0235274d4a1de27a3b7bcce56f44b213104db2a228b61ce82d7fddf",
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(CLI_OUTPUT_SHA256),
+                         ids=[f"{name}-{command}" for name, command in sorted(CLI_OUTPUT_SHA256)])
+def test_cli_graph_subcommand_bytes(tmp_path, capsys, monkeypatch, name, command):
+    """The same bytes from stdin or a file, in either input format, on stdout
+    or through ``--json-out``. Two runs take each choice once, since the
+    spectrum of gap_gadget(6) takes seconds per run."""
+    g = {"cycle7": cycle(7), "gap6": gap_gadget(6).graph}[name]
+    texts = {"graph6": graph6_encode(g) + "\n", "edgelist": format_edge_list(g)}
+    for from_file, fmt, to_file in ((False, "graph6", False), (True, "edgelist", True)):
+        argv = [*command.split(), "--format", fmt]
+        if from_file:
+            (tmp_path / "in").write_text(texts[fmt])
+            argv += ["--input", str(tmp_path / "in")]
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(texts[fmt]))
+        if to_file:
+            argv += ["--json-out", str(tmp_path / "out")]
+        code, out, err = run_cli(capsys, *argv)
+        if to_file:
+            assert out == ""
+            out = (tmp_path / "out").read_text()
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == CLI_OUTPUT_SHA256[name, command], argv
+
+
 @pytest.mark.parametrize("text", ["2 1\n0 x\n", "2 y\n0 1\n", "z 1\n0 1\n", "2 1\n1.5 0\n"],
                          ids=["edge-line", "header-m", "header-n", "edge-float"])
 def test_cli_edgelist_non_integer_token(tmp_path, capsys, text):

@@ -61,10 +61,6 @@ def _read_input(args) -> Graph:
     return parse_edge_list(text)
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(node_budget=args.budget)
-
-
 def _emit(args, text: str) -> None:
     if args.json_out:
         with open(args.json_out, "w") as fh:
@@ -75,7 +71,7 @@ def _emit(args, text: str) -> None:
 
 def _certificate(g: Graph, args) -> dict:
     solver = minimum_connected_dominating if args.kind == "connected" else minimum_wcon_dominating
-    return solver(g, _solver_config(args)).to_json_dict(g)
+    return solver(g, args.cfg).to_json_dict(g)
 
 
 # name -> (help, function from (graph, args) to the JSON records printed);
@@ -84,7 +80,7 @@ GRAPH_COMMANDS = {
     "solve": ("minimum dominating certificate", lambda g, args: [_certificate(g, args)]),
     "classify": ("graph-class report", lambda g, args: [classify(g).to_json_dict()]),
     "sweep-edges": ("edge-removal records as JSON lines",
-                    lambda g, args: [r.to_json_dict() for r in edge_removal_sweep(g, _solver_config(args))]),
+                    lambda g, args: [r.to_json_dict() for r in edge_removal_sweep(g, args.cfg)]),
     "interpolate": ("spanning-tree spectrum report",
                     lambda g, args: [wcon_spectrum(g).to_json_dict()]),
 }
@@ -137,7 +133,7 @@ def cmd_gadget(args) -> int:
 def cmd_verify(args) -> int:
     corpus = CorpusSpec.parse(args.corpus)
     ids = args.theorems.split(",") if args.theorems is not None else sorted(THEOREMS)
-    report = run_verification(ids, corpus, _solver_config(args))
+    report = run_verification(ids, corpus, args.cfg)
     _emit(args, report.to_json_lines())
     statuses = {c.status for c in report.checks}
     return 1 if "FAIL" in statuses else 3 if "INCONCLUSIVE" in statuses else 0
@@ -188,6 +184,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.cfg = SolverConfig(node_budget=args.budget)
         return args.func(args)
     except (DomlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

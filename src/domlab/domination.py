@@ -164,10 +164,15 @@ def _solve_minimum(
     Layer ``k`` enumerates each connected ``k``-set that holds every forced
     vertex and no excluded one exactly once (ESU-style extension): a set
     grows from its root by include/ban branching on its frontier
-    ``N(S) - S - banned``.  The root is the lowest forced vertex, or else
-    each vertex ``r`` in turn with every vertex below ``r`` banned.  The
-    closed neighbourhood ``N[S]`` is kept as the set grows, so a connected
-    set dominates exactly when it covers every vertex.  A layer is searched
+    ``N(S) - S - banned``.  The roots are the members of an anchor, a set
+    that every set searched meets: the lowest forced vertex, which lies in
+    every such set, or else the smallest N[u] - excluded, lowest u first,
+    which every dominating set without an excluded vertex meets.  It is
+    never empty: an N[u] of simplicial vertices only is a clique and so
+    the whole graph, which k = 1 has returned.  A set grows from its lowest
+    anchor member, with the lower members banned.  The closed
+    neighbourhood ``N[S]`` is kept as the set grows, so a connected set
+    dominates exactly when it covers every vertex.  A layer is searched
     in full, so the certificate is the smallest bit mask of all minimum sets.
 
     Three bounds cut only subtrees that hold no feasible ``k``-set:
@@ -261,25 +266,17 @@ def _solve_minimum(
                 if not closed[u.bit_length() - 1] & ~banned:
                     return
 
-    roots = [forced & -forced] if forced else [1 << r for r in range(n) if not excluded >> r & 1]
-    # reach[r]: N[v] over the v >= r not excluded. With the vertices below the
-    # root banned, every vertex keeps a possible dominator iff it is full,
-    # since closed neighbourhoods are symmetric.
-    reach = [0] * (n + 1)
-    for v in reversed(range(n)):
-        reach[v] = reach[v + 1] if excluded >> v & 1 else reach[v + 1] | closed[v]
+    anchor = forced & -forced or min((c & ~excluded for c in closed), key=int.bit_count)
     first = next(k for k in range(1, n + 1) if gains[0] + 2 + cap[k - 1] >= n)
     first = max(first, floor, forced.bit_count(), diameter(g) - 1)
     if balls is not None:
         first = max(first, _forced_pair_floor(balls, forced))
     for k in range(first, n + 1):
         try:
-            for root in roots:
-                r = root.bit_length() - 1
-                if reach[0 if forced else r] != full:
-                    break  # some vertex can no longer be dominated, nor for later roots
-                banned = excluded if forced else excluded | (root - 1)
-                grow(root, closed[r], adj[r] & ~banned, banned, 1)
+            banned = excluded
+            for r in iter_bits(anchor):
+                grow(1 << r, closed[r], adj[r] & ~banned, banned, 1)
+                banned |= 1 << r
         except _BudgetSpent:
             # fall back to the trivially feasible whole vertex set
             hit = full if best == no_hit else best

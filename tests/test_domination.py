@@ -39,7 +39,8 @@ from domlab.spanning import wcon_spectrum
 def hamiltonian_plus_chords(rng: random.Random, n: int, chords: int):
     """A 2-connected graph: a shuffled Hamiltonian cycle plus random chords.
 
-    It has no cut vertex, so the solvers loop over every root."""
+    It has no cut vertex, so the solvers root each set at a member of the
+    smallest closed neighbourhood rather than at a forced vertex."""
     perm = list(range(n))
     rng.shuffle(perm)
     edges = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
@@ -254,6 +255,18 @@ def test_wcon_search_on_gap_gadgets_is_bounded(cfg):
         assert w.optimal and w.value == 2 * k + 4
         nodes += w.nodes_expanded
     assert nodes < 2_000
+
+
+def test_connected_search_without_cut_vertices_is_bounded(cfg):
+    # with no forced vertex, each set grows only from a member of the
+    # smallest N[u] - excluded, which every candidate meets
+    rng = random.Random(2024)
+    nodes = 0
+    for _ in range(50):
+        c = minimum_connected_dominating(hamiltonian_plus_chords(rng, 11, 5), cfg)
+        assert c.optimal
+        nodes += c.nodes_expanded
+    assert nodes < 3_500
 
 
 def test_certificates_survive_relabelling_past_oracle_tier(cfg):

@@ -504,7 +504,7 @@ def test_cli_sweep_and_interpolate(tmp_path, capsys):
 # sha256 of each graph subcommand's output on two graphs: a refactor of the
 # read-compute-print path must leave these bytes as they are
 CLI_OUTPUT_SHA256 = {
-    ("cycle7", "solve --kind connected"): "a8ede7efb939337537de4a9bef093873ccc7b67d85b6daef86a3a002a3c13568",
+    ("cycle7", "solve --kind connected"): "652c8ebb8ba094253a67af98c11c742d80acfec7b9e8fe001b4cd9c65add7959",
     ("cycle7", "solve --kind weakly-convex"): "276f88b524dfca9299623ca83d938b2db351c2c2cbbb591cb5004817bef5b942",
     ("cycle7", "classify"): "989850a5ac137af0771ef9fbaaaaa52eb0739bb241199886762f152a88bd9064",
     ("cycle7", "sweep-edges"): "d3f06fd677d3b0bed0e56f03ed5bc53cf5ceaff3e3a683281e987c057b3389e3",
@@ -568,8 +568,11 @@ def test_cli_disconnected_input(tmp_path, capsys):
 
 
 def test_cli_rejects_nonpositive_budget(tmp_path, capsys):
+    # the budget is checked before any subcommand runs, even one that never solves
     p = tmp_path / "c5.g6"
     p.write_text(graph6_encode(cycle(5)) + "\n")
+    rest = {"gadget": ["path", "--k", "3"], "verify": ["--corpus", "exhaustive:3"]}
     for budget in ("0", "-3"):
-        code, _, err = run_cli(capsys, "--budget", budget, "solve", "--input", str(p))
-        assert code == 2 and "budget" in err
+        for command in ("solve", "classify", "sweep-edges", "interpolate", "gadget", "verify"):
+            code, out, err = run_cli(capsys, "--budget", budget, command, *rest.get(command, ["--input", str(p)]))
+            assert (code, out, err) == (2, "", f"error: node budget must be at least 1, got {budget}\n"), command
